@@ -38,69 +38,18 @@ type NodeCipher interface {
 	Name() string
 }
 
-// AESGCM seals pages with AES-GCM using a random 96-bit nonce per seal and
-// the big-endian page ID as associated data. Layout: nonce || ciphertext+tag.
-type AESGCM struct {
-	aead stdcipher.AEAD
-}
-
-// NewAESGCM returns an AES-GCM node cipher. The key must be 16, 24, or 32
-// bytes (AES-128/192/256).
-//
-// Random 96-bit nonces carry the NIST SP 800-38D bound of 2^32 seals per
-// key; past it, nonce-collision risk becomes non-negligible and with it
-// plaintext leakage and forgery. Long-lived high-traffic deployments need
-// key rotation or a counter-based nonce scheme before that bound (tracked
-// in ROADMAP).
-func NewAESGCM(key []byte) (*AESGCM, error) {
-	block, err := stdaes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("cipher: %w", err)
-	}
-	aead, err := stdcipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("cipher: %w", err)
-	}
-	return &AESGCM{aead: aead}, nil
-}
-
 func pageAAD(pageID uint64) []byte {
 	var aad [8]byte
 	binary.BigEndian.PutUint64(aad[:], pageID)
 	return aad[:]
 }
 
-func (c *AESGCM) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
-	nonceSize := c.aead.NonceSize()
-	out := make([]byte, nonceSize, nonceSize+len(plaintext)+c.aead.Overhead())
-	if _, err := rand.Read(out[:nonceSize]); err != nil {
-		return nil, fmt.Errorf("cipher: nonce: %w", err)
-	}
-	return c.aead.Seal(out, out[:nonceSize], plaintext, pageAAD(pageID)), nil
-}
-
-func (c *AESGCM) Open(pageID uint64, sealed []byte) ([]byte, error) {
-	nonceSize := c.aead.NonceSize()
-	if len(sealed) < nonceSize+c.aead.Overhead() {
-		return nil, ErrOpen
-	}
-	pt, err := c.aead.Open(nil, sealed[:nonceSize], sealed[nonceSize:], pageAAD(pageID))
-	if err != nil {
-		return nil, ErrOpen
-	}
-	return pt, nil
-}
-
-func (c *AESGCM) Overhead() int { return c.aead.NonceSize() + c.aead.Overhead() }
-
-func (c *AESGCM) Name() string { return "aes-gcm" }
-
-// EpochSealer is the optional NodeCipher extension for key-epoch schemes with
-// caller-supplied nonces. The engine type-asserts for it: when present, every
-// node page is sealed via SealEpoch with an engine-allocated (epoch, counter)
-// pair — collision-free by construction — instead of Seal's scheme-chosen
-// nonce, and budgets/rotation apply. Plain NodeCipher implementations keep the
-// legacy behavior (no budgets, no epochs).
+// EpochSealer is the node cipher the engine seals through: a NodeCipher
+// whose node pages are sealed via SealEpoch with an engine-allocated
+// (epoch, counter) nonce — collision-free by construction — so seal budgets
+// and key-epoch rotation always apply. Seal remains the path for page 0, the
+// façade's header, which must be decipherable before any epoch state is
+// known.
 type EpochSealer interface {
 	NodeCipher
 	// SealEpoch enciphers plaintext under key epoch's derived key using the
@@ -117,16 +66,16 @@ type EpochSealer interface {
 // and caller-supplied counter nonces: nonce = epoch(4B BE) || counter(8B BE),
 // so every seal in the tree's lifetime uses a distinct nonce as long as the
 // engine never reissues a counter (a durable high-water mark guarantees that
-// across crash and reopen). The sealed layout is the same nonce || ct+tag as
-// AESGCM — the epoch rides in the nonce prefix, costing no extra bytes — and
-// the big-endian page ID remains the associated data.
+// across crash and reopen). The sealed layout is nonce || ct+tag — the epoch
+// rides in the nonce prefix, costing no extra bytes — and the big-endian page
+// ID is the associated data.
 //
 // Page ID 0 (the façade's header/meta page) is sealed with the RAW subkey and
-// a random nonce, byte-identical to legacy AESGCM: the header must be
-// decipherable before any epoch state is known, and a legacy file opened with
-// this cipher then fails closed with an honest config mismatch (the header
-// deciphers but records scheme "aes-gcm", not "aes-gcm-ctr") rather than a
-// spurious wrong-key error.
+// a random nonce, byte-identical to the pre-epoch random-nonce scheme: the
+// header must be decipherable before any epoch state is known, and a
+// pre-epoch file then fails closed with an honest config mismatch (the
+// header deciphers but records scheme "aes-gcm", not "aes-gcm-ctr") rather
+// than a spurious wrong-key error.
 type EpochAESGCM struct {
 	key []byte         // cipher subkey; HKDF secret for per-epoch keys
 	raw stdcipher.AEAD // raw-subkey AEAD for the page-0 header path
@@ -252,17 +201,43 @@ func (c *EpochAESGCM) Overhead() int { return c.raw.NonceSize() + c.raw.Overhead
 func (c *EpochAESGCM) Name() string { return "aes-gcm-ctr" }
 
 // Plaintext is a pass-through cipher for tests and debugging. It provides no
-// confidentiality or integrity and must never be used in production.
+// confidentiality or integrity and must never be used in production. Its
+// layout mirrors EpochAESGCM without the encryption: node pages carry the
+// 12-byte epoch || counter nonce in front of the plaintext, and Seal is the
+// page-0 header path (a zero nonce).
 type Plaintext struct{}
 
-func (Plaintext) Seal(_ uint64, plaintext []byte) ([]byte, error) {
-	return append([]byte(nil), plaintext...), nil
+const plaintextNonce = 12
+
+// Seal handles only page 0, as in EpochAESGCM.
+func (Plaintext) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
+	if pageID != 0 {
+		return nil, fmt.Errorf("cipher: plaintext cipher requires SealEpoch for page %d", pageID)
+	}
+	return append(make([]byte, plaintextNonce, plaintextNonce+len(plaintext)), plaintext...), nil
+}
+
+func (Plaintext) SealEpoch(_ uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error) {
+	out := make([]byte, plaintextNonce, plaintextNonce+len(plaintext))
+	binary.BigEndian.PutUint32(out[:4], epoch)
+	binary.BigEndian.PutUint64(out[4:], counter)
+	return append(out, plaintext...), nil
 }
 
 func (Plaintext) Open(_ uint64, sealed []byte) ([]byte, error) {
-	return append([]byte(nil), sealed...), nil
+	if len(sealed) < plaintextNonce {
+		return nil, ErrOpen
+	}
+	return append([]byte(nil), sealed[plaintextNonce:]...), nil
 }
 
-func (Plaintext) Overhead() int { return 0 }
+func (Plaintext) SealedEpoch(sealed []byte) (uint32, bool) {
+	if len(sealed) < plaintextNonce {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(sealed[:4]), true
+}
+
+func (Plaintext) Overhead() int { return plaintextNonce }
 
 func (Plaintext) Name() string { return "plaintext" }

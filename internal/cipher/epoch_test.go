@@ -2,6 +2,9 @@ package cipher
 
 import (
 	"bytes"
+	stdaes "crypto/aes"
+	stdcipher "crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -94,20 +97,37 @@ func TestEpochKeysAreIndependent(t *testing.T) {
 	}
 }
 
-func TestEpochHeaderPageIsLegacyCompatible(t *testing.T) {
-	key := bytes.Repeat([]byte{0x42}, 32)
-	legacy, _ := NewAESGCM(key)
-	epochc, _ := NewEpochAESGCM(key)
-
-	// Page 0 sealed by the legacy cipher opens under the epoch cipher and
-	// vice versa: the header path uses the raw subkey and a random nonce in
-	// both schemes, which is what lets Open distinguish "wrong key" from
-	// "right key, different scheme" on legacy files.
-	pt := []byte("ekbtree/1 order=32 keysub=hmac cipher=aes-gcm")
-	sealed, err := legacy.Seal(0, pt)
+// legacyGCM is the pre-epoch random-nonce page seal, rebuilt from the
+// standard library: AES-GCM under the raw key, nonce || ct+tag, big-endian
+// page ID as associated data.
+func legacyGCM(t *testing.T, key []byte) stdcipher.AEAD {
+	t.Helper()
+	block, err := stdaes.NewCipher(key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	aead, err := stdcipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aead
+}
+
+func TestEpochHeaderPageIsLegacyCompatible(t *testing.T) {
+	key := bytes.Repeat([]byte{0x42}, 32)
+	legacy := legacyGCM(t, key)
+	epochc, _ := NewEpochAESGCM(key)
+
+	// Page 0 sealed by the pre-epoch scheme opens under the epoch cipher and
+	// vice versa: the header path uses the raw subkey and a random nonce in
+	// both schemes, which is what lets Open distinguish "wrong key" from
+	// "right key, different scheme" on pre-epoch files.
+	pt := []byte("ekbtree/1 order=32 keysub=hmac cipher=aes-gcm")
+	nonce := make([]byte, legacy.NonceSize())
+	if _, err := rand.Read(nonce); err != nil {
+		t.Fatal(err)
+	}
+	sealed := legacy.Seal(nonce, nonce, pt, pageAAD(0))
 	opened, err := epochc.Open(0, sealed)
 	if err != nil {
 		t.Fatalf("epoch cipher failed to open legacy header: %v", err)
@@ -119,15 +139,17 @@ func TestEpochHeaderPageIsLegacyCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legacy.Open(0, sealed2); err != nil {
+	n := legacy.NonceSize()
+	if _, err := legacy.Open(nil, sealed2[:n], sealed2[n:], pageAAD(0)); err != nil {
 		t.Fatalf("legacy cipher failed to open epoch-cipher header: %v", err)
 	}
 }
 
 func TestEpochSealRefusesNodePages(t *testing.T) {
-	c := newEpochCipher(t)
-	if _, err := c.Seal(1, []byte("node page")); err == nil {
-		t.Error("Seal(pageID>0) succeeded; epoch cipher must force SealEpoch for node pages")
+	for _, c := range []EpochSealer{newEpochCipher(t), Plaintext{}} {
+		if _, err := c.Seal(1, []byte("node page")); err == nil {
+			t.Errorf("%s: Seal(pageID>0) succeeded; node pages must go through SealEpoch", c.Name())
+		}
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// countingCipher wraps a NodeCipher and counts Seal/Open calls, so tests can
-// assert how many times pages are actually enciphered.
+// countingCipher wraps an EpochSealer and counts seals (header Seal and node
+// SealEpoch alike) and Opens, so tests can assert how many times pages are
+// actually enciphered.
 type countingCipher struct {
-	inner cipher.NodeCipher
+	inner cipher.EpochSealer
 	seals atomic.Int64
 	opens atomic.Int64
 }
@@ -24,17 +25,25 @@ func (c *countingCipher) Seal(id uint64, pt []byte) ([]byte, error) {
 	return c.inner.Seal(id, pt)
 }
 
+func (c *countingCipher) SealEpoch(id uint64, epoch uint32, counter uint64, pt []byte) ([]byte, error) {
+	c.seals.Add(1)
+	return c.inner.SealEpoch(id, epoch, counter, pt)
+}
+
 func (c *countingCipher) Open(id uint64, sealed []byte) ([]byte, error) {
 	c.opens.Add(1)
 	return c.inner.Open(id, sealed)
 }
 
+func (c *countingCipher) SealedEpoch(sealed []byte) (uint32, bool) {
+	return c.inner.SealedEpoch(sealed)
+}
 func (c *countingCipher) Overhead() int { return c.inner.Overhead() }
 func (c *countingCipher) Name() string  { return c.inner.Name() }
 
 func countingTree(t *testing.T, opts Options) (*Tree, *countingCipher) {
 	t.Helper()
-	gcm, err := cipher.NewAESGCM(bytes.Repeat([]byte{0xB0}, 32))
+	gcm, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0xB0}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,10 @@ type Options struct {
 	MasterKey []byte
 	// Substituter overrides the derived HMAC substituter.
 	Substituter keysub.Substituter
-	// Cipher overrides the derived AES-256-GCM node cipher.
+	// Cipher overrides the derived AES-256-GCM node cipher. The engine
+	// allocates every node-page nonce, so the cipher must also implement
+	// SealEpoch and SealedEpoch (as NewEpochAESGCMCipher's does); one that
+	// does not fails Open with ErrInvalidOptions.
 	Cipher cipher.NodeCipher
 	// Store is the backing page store. Nil means Path's file-backed store
 	// when Path is set, otherwise a fresh in-memory store. Setting both
@@ -188,14 +191,12 @@ type Options struct {
 	// pages. Zero means DefaultSealBudget; negative disables budget-driven
 	// rotation entirely — the epoch then advances only via AdvanceEpoch, and
 	// a shard that reaches the hard bound (see SealHardLimit) fails its
-	// writes closed with ErrSealsExhausted. Ignored when Cipher is set to a
-	// scheme without key epochs (e.g. NewAESGCMCipher).
+	// writes closed with ErrSealsExhausted.
 	SealBudget int64
 	// SealHardLimit is the per-epoch fail-closed seal bound, PER SHARD: a
 	// commit that would push the current epoch's counter past it fails with
 	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
-	// engine default (2^32); values above 2^56 are clamped. Ignored for
-	// non-epoch ciphers.
+	// engine default (2^32); values above 2^56 are clamped.
 	SealHardLimit uint64
 	// NodeEncoding selects the on-page node format; see the NodeEncoding
 	// constants. The zero value (EncodingAuto) writes new trees with
@@ -234,9 +235,9 @@ const (
 // derived key bounded and the rotation machinery routinely exercised.
 const DefaultSealBudget = 1 << 30
 
-// maxEpochShards is the shard-count ceiling for epoch ciphers: the shard
-// index rides in the top byte of the 64-bit seal counter, partitioning the
-// nonce space so shards sharing one derived key can never collide.
+// maxEpochShards is the shard-count ceiling: the shard index rides in the
+// top byte of the 64-bit seal counter, partitioning the nonce space so
+// shards sharing one derived key can never collide.
 const maxEpochShards = 256
 
 // DefaultCachePages re-exports the engine's default decoded-node cache size.
@@ -249,7 +250,7 @@ type CacheStats = engine.CacheStats
 // effective order, substituter, cipher, cache size, and shard count. All
 // validation of an Options value is consolidated here; errors wrap
 // ErrInvalidOptions. Stores are resolved per shard in Open.
-func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCipher, cachePages, shards int, err error) {
+func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.EpochSealer, cachePages, shards int, err error) {
 	order = o.Order
 	if order == 0 {
 		order = DefaultOrder
@@ -257,7 +258,16 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	if order < 4 || order%2 != 0 {
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: order %d must be even and >= 4", ErrInvalidOptions, order)
 	}
-	sub, nc = o.Substituter, o.Cipher
+	sub = o.Substituter
+	if o.Cipher != nil {
+		// The engine owns every node nonce, so a cipher must take them: one
+		// without SealEpoch/SealedEpoch fails closed rather than sealing
+		// under nonces nothing tracks.
+		var ok bool
+		if nc, ok = o.Cipher.(cipher.EpochSealer); !ok {
+			return 0, nil, nil, 0, 0, fmt.Errorf("%w: cipher %q lacks SealEpoch/SealedEpoch", ErrInvalidOptions, o.Cipher.Name())
+		}
+	}
 	if sub == nil || nc == nil {
 		if len(o.MasterKey) < 16 {
 			return 0, nil, nil, 0, 0, fmt.Errorf("%w: master key must be at least 16 bytes", ErrInvalidOptions)
@@ -270,7 +280,7 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 		if nc == nil {
 			// The derived cipher is the epoch-keyed scheme: per-epoch HKDF
 			// subkeys and counter nonces, rotated by the background rotator.
-			// Files written by the legacy random-nonce scheme record a
+			// Files written by the pre-epoch random-nonce scheme record a
 			// different cipher name in their sealed header, so they fail
 			// closed with ErrConfigMismatch instead of silently mixing nonce
 			// disciplines.
@@ -322,7 +332,7 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	case shards > 1 && o.Store != nil:
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards > 1 requires per-shard stores (Path or default), not a single Store", ErrInvalidOptions)
 	}
-	if _, ok := nc.(cipher.EpochSealer); ok && shards > maxEpochShards {
+	if shards > maxEpochShards {
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the epoch cipher's nonce-partition limit", ErrInvalidOptions, shards, maxEpochShards)
 	}
 	cachePages = o.CachePages
@@ -430,9 +440,8 @@ type Tree struct {
 	// Options.MaxEpochAge.
 	maxEpochAge uint64
 
-	// Rotator plumbing; all nil for non-epoch ciphers. rotKick holds at most
-	// one pending kick — the rotator sweeps to convergence per kick, so
-	// kicks absorb rather than queue.
+	// Rotator plumbing. rotKick holds at most one pending kick — the rotator
+	// sweeps to convergence per kick, so kicks absorb rather than queue.
 	rotKick chan struct{}
 	rotStop chan struct{}
 	rotDone chan struct{}
@@ -460,22 +469,21 @@ func Open(opts Options) (*Tree, error) {
 			return nil, mapErr(err)
 		}
 	}
-	t := &Tree{sub: sub, router: router, maxEpochAge: uint64(opts.MaxEpochAge)}
-	_, epochCipher := nc.(cipher.EpochSealer)
+	// The kick channel must exist before any engine can fire
+	// OnEpochAdvance; the goroutine itself starts only once every shard
+	// opened.
+	t := &Tree{
+		sub: sub, router: router, maxEpochAge: uint64(opts.MaxEpochAge),
+		rotKick: make(chan struct{}, 1),
+		rotStop: make(chan struct{}),
+		rotDone: make(chan struct{}),
+	}
 	var sealBudget uint64
-	if epochCipher {
-		switch {
-		case opts.SealBudget > 0:
-			sealBudget = uint64(opts.SealBudget)
-		case opts.SealBudget == 0:
-			sealBudget = DefaultSealBudget
-		}
-		// The kick channel must exist before any engine can fire
-		// OnEpochAdvance; the goroutine itself starts only once every shard
-		// opened.
-		t.rotKick = make(chan struct{}, 1)
-		t.rotStop = make(chan struct{})
-		t.rotDone = make(chan struct{})
+	switch {
+	case opts.SealBudget > 0:
+		sealBudget = uint64(opts.SealBudget)
+	case opts.SealBudget == 0:
+		sealBudget = DefaultSealBudget
 	}
 	// Stores opened here (Path or default) are ours to close on failure; a
 	// caller-provided Store (single-shard only) stays the caller's to manage.
@@ -508,14 +516,13 @@ func Open(opts Options) (*Tree, error) {
 				enc = EncodingPrefix
 			}
 		}
-		cfg := engine.Config{Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: format}
-		if epochCipher {
-			cfg.SealBudget = sealBudget
-			cfg.HardSealLimit = opts.SealHardLimit
-			cfg.CounterBase = uint64(i) << 56
-			cfg.OnEpochAdvance = func(uint32) { t.kickRotator() }
-		}
-		g, err := engine.New(cfg)
+		g, err := engine.New(engine.Config{
+			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: format,
+			SealBudget:     sealBudget,
+			HardSealLimit:  opts.SealHardLimit,
+			CounterBase:    uint64(i) << 56,
+			OnEpochAdvance: func(uint32) { t.kickRotator() },
+		})
 		if err != nil {
 			if ownStore {
 				st.Close()
@@ -524,12 +531,10 @@ func Open(opts Options) (*Tree, error) {
 		}
 		t.shards = append(t.shards, g)
 	}
-	if epochCipher {
-		go t.rotatorLoop()
-		// An initial kick drains any epochs a previous run advanced but
-		// never finished re-sealing (e.g. a crash mid-rotation).
-		t.kickRotator()
-	}
+	go t.rotatorLoop()
+	// An initial kick drains any epochs a previous run advanced but never
+	// finished re-sealing (e.g. a crash mid-rotation).
+	t.kickRotator()
 	return t, nil
 }
 
@@ -537,9 +542,6 @@ func Open(opts Options) (*Tree, error) {
 // to convergence per kick, so a kick that finds one already pending is
 // subsumed by it.
 func (t *Tree) kickRotator() {
-	if t.rotKick == nil {
-		return
-	}
 	select {
 	case t.rotKick <- struct{}{}:
 	default:
@@ -598,12 +600,8 @@ func (t *Tree) rotatorLoop() {
 	}
 }
 
-// stopRotator shuts the rotator down and waits for it to exit. Idempotent;
-// a no-op for non-epoch ciphers.
+// stopRotator shuts the rotator down and waits for it to exit. Idempotent.
 func (t *Tree) stopRotator() {
-	if t.rotStop == nil {
-		return
-	}
 	t.rotOnce.Do(func() { close(t.rotStop) })
 	<-t.rotDone
 }
@@ -613,7 +611,7 @@ func (t *Tree) stopRotator() {
 // re-seal the superseded epochs' pages. This is the operator-driven "rotate
 // now": the new epochs' durable reservations are on disk when the call
 // returns, while the re-sealing itself proceeds in the background (watch
-// Stats.PagesPendingReseal drain to zero). A no-op for non-epoch ciphers.
+// Stats.PagesPendingReseal drain to zero).
 func (t *Tree) AdvanceEpoch() error {
 	for _, g := range t.shards {
 		if err := g.AdvanceEpoch(); err != nil {
@@ -809,50 +807,76 @@ func (t *Tree) cursorScan(c *Cursor, fn func(subKey, value []byte) bool) error {
 // shard's shape is observed against its own pinned epoch, so per-shard
 // figures are individually consistent but the sum is not one cross-shard
 // point in time.
+//
+// The JSON tags are the stable wire shape the ekbtreed Stats op and its
+// clients share: snake_case names, cache counters nested, and the fields a
+// hand-built or in-memory value leaves zero (shards, the cipher-lifecycle
+// counters, the footprint gauges) omitted so older parsers see the shape
+// they know.
 type Stats struct {
 	// Keys is the number of live entries.
-	Keys int
+	Keys int `json:"keys"`
 	// Nodes is the number of B-tree pages.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Height is the tree height in levels (0 for an empty tree); for a
 	// sharded tree, the tallest shard's height.
-	Height int
+	Height int `json:"height"`
 	// Cache counts decoded-node cache hits, misses, and clock evictions,
 	// summed across shards.
-	Cache CacheStats
+	Cache CacheStats `json:"cache"`
 	// Commits is the number of successfully published commit epochs. No-op
 	// mutations (e.g. deleting an absent key) publish nothing and are not
 	// counted. A sharded Batch.Commit counts once per shard it touched.
-	Commits uint64
+	Commits uint64 `json:"commits"`
 	// Conflicts is the number of optimistic commit attempts discarded because
 	// a concurrent commit invalidated the attempt's read-set. Conflicts are
 	// retried internally; callers never observe them as errors.
-	Conflicts uint64
+	Conflicts uint64 `json:"conflicts"`
 	// Retries is the number of mutation re-executions: every conflict, plus
 	// every escalation to the exclusive commit gate (root-moving commits and
 	// the fairness fallback after repeated conflicts).
-	Retries uint64
+	Retries uint64 `json:"retries"`
 	// Shards is the number of shards (1 for an unsharded tree).
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// CipherEpoch is the newest key epoch any shard is sealing under (the
-	// maximum across shards; shards rotate independently). Zero for
-	// non-epoch ciphers.
-	CipherEpoch uint32
+	// maximum across shards; shards rotate independently).
+	CipherEpoch uint32 `json:"cipher_epoch,omitempty"`
 	// Seals is the number of page seals issued within each shard's current
 	// epoch, summed across shards. It resets to zero as epochs advance.
-	Seals uint64
+	Seals uint64 `json:"seals,omitempty"`
 	// PagesPendingReseal is the number of live pages still sealed under an
 	// epoch older than their shard's current one, summed across shards —
 	// the backlog the background rotator is draining. Zero once rotation
 	// has converged.
-	PagesPendingReseal int
+	PagesPendingReseal int `json:"pages_pending_reseal,omitempty"`
 	// FileBytes is the total backing-file size, summed across shards. Zero
 	// for stores without a physical layout (the in-memory backend).
-	FileBytes int64
+	FileBytes int64 `json:"file_bytes,omitempty"`
 	// LiveBytes is the portion of FileBytes referenced by live pages and
 	// store metadata, summed across shards. FileBytes - LiveBytes is the
 	// garbage a Vacuum could reclaim.
-	LiveBytes int64
+	LiveBytes int64 `json:"live_bytes,omitempty"`
+}
+
+// String renders the stats in a compact single-line human-readable form.
+func (s Stats) String() string {
+	out := fmt.Sprintf(
+		"keys=%d nodes=%d height=%d cache{hits=%d misses=%d evictions=%d pages=%d} commits=%d conflicts=%d retries=%d",
+		s.Keys, s.Nodes, s.Height,
+		s.Cache.Hits, s.Cache.Misses, s.Cache.Evictions, s.Cache.Pages,
+		s.Commits, s.Conflicts, s.Retries,
+	)
+	if s.Shards > 1 {
+		out += fmt.Sprintf(" shards=%d", s.Shards)
+	}
+	if s.CipherEpoch > 0 || s.Seals > 0 || s.PagesPendingReseal > 0 {
+		out += fmt.Sprintf(" epoch=%d seals=%d pending_reseal=%d",
+			s.CipherEpoch, s.Seals, s.PagesPendingReseal)
+	}
+	if s.FileBytes > 0 || s.LiveBytes > 0 {
+		out += fmt.Sprintf(" file_bytes=%d live_bytes=%d", s.FileBytes, s.LiveBytes)
+	}
+	return out
 }
 
 // Stats reports tree shape, cache counters, and commit-pipeline counters,

@@ -24,6 +24,40 @@ func newTestEngine(t *testing.T, st store.PageStore, order int) *Engine {
 	return g
 }
 
+// newTestNodeIO builds a bare nodeIO over st with the plaintext cipher, plus
+// a seal allocator to commit through it.
+func newTestNodeIO(t *testing.T, st store.PageStore, maxCache int) (*nodeIO, *sealAlloc) {
+	t.Helper()
+	sa, err := newSealAlloc(st, 0, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newNodeIO(st, cipher.Plaintext{}, maxCache), sa
+}
+
+// commitTxn runs work in a fresh writeTxn over the store's current root,
+// then seals, commits, and promotes it: the engine's commit path minus OCC
+// validation and epoch publication, for white-box nodeIO tests.
+func commitTxn(t *testing.T, io *nodeIO, sa *sealAlloc, work func(tx *writeTxn) error) {
+	t.Helper()
+	root, err := io.st.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := newWriteTxn(io, sa, &epoch{root: root, state: epochPublished})
+	if err := work(tx); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := tx.seal()
+	if err != nil || cs == nil {
+		t.Fatalf("seal = %v, %v", cs, err)
+	}
+	if err := io.st.CommitPages(cs.writes, cs.root, cs.frees); err != nil {
+		t.Fatal(err)
+	}
+	io.promoteTxn(cs, tx.staged)
+}
+
 func enginePut(g *Engine, k, v []byte) error {
 	return g.Apply(func(bt *btree.Tree) error { return bt.Put(k, v) })
 }
@@ -222,22 +256,23 @@ func TestSnapshotAge(t *testing.T) {
 func TestBatchRestageAfterFree(t *testing.T) {
 	st := store.NewMem()
 	defer st.Close()
-	io := newNodeIO(st, cipher.Plaintext{}, 4)
+	io, sa := newTestNodeIO(t, st, 4)
 
-	id, err := io.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var id uint64
 	v1 := &node.Node{Leaf: true, Keys: [][]byte{[]byte("k")}, Values: [][]byte{[]byte("v1")}}
-	if err := io.Write(id, v1); err != nil {
-		t.Fatal(err)
-	}
+	commitTxn(t, io, sa, func(tx *writeTxn) error {
+		var err error
+		if id, err = tx.Alloc(); err != nil {
+			return err
+		}
+		return tx.Write(id, v1)
+	})
 
 	root, err := st.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := newWriteTxn(io, &epoch{root: root, state: epochPublished})
+	tx := newWriteTxn(io, sa, &epoch{root: root, state: epochPublished})
 	if err := tx.Free(id); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +305,7 @@ func TestBatchRestageAfterFree(t *testing.T) {
 		t.Fatalf("re-staged page gone from store after commit: %v", err)
 	}
 	io.invalidate() // force the read back through the store
-	n, err := io.Read(id)
+	n, err := io.ReadShared(id)
 	if err != nil {
 		t.Fatalf("read of re-staged page: %v", err)
 	}
@@ -283,12 +318,13 @@ func TestBatchRestageAfterFree(t *testing.T) {
 // refuse to hand out page IDs instead of silently minting them.
 func TestNodeIOAllocClosed(t *testing.T) {
 	st := store.NewMem()
-	io := newNodeIO(st, cipher.Plaintext{}, 4)
-	if _, err := io.Alloc(); err != nil {
+	io, sa := newTestNodeIO(t, st, 4)
+	tx := newWriteTxn(io, sa, &epoch{root: store.NoRoot, state: epochPublished})
+	if _, err := tx.Alloc(); err != nil {
 		t.Fatalf("Alloc on open store: %v", err)
 	}
 	st.Close()
-	if _, err := io.Alloc(); !errors.Is(err, store.ErrClosed) {
+	if _, err := tx.Alloc(); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("Alloc on closed store = %v, want store.ErrClosed", err)
 	}
 }
@@ -298,12 +334,10 @@ func TestNodeIOAllocClosed(t *testing.T) {
 func TestClockEvictionSecondChance(t *testing.T) {
 	st := store.NewMem()
 	defer st.Close()
-	io := newNodeIO(st, cipher.Plaintext{}, 2)
+	io, sa := newTestNodeIO(t, st, 2)
 	write := func(id uint64) {
 		n := &node.Node{Leaf: true, Keys: [][]byte{{byte(id)}}, Values: [][]byte{{byte(id)}}}
-		if err := io.Write(id, n); err != nil {
-			t.Fatal(err)
-		}
+		commitTxn(t, io, sa, func(tx *writeTxn) error { return tx.Write(id, n) })
 	}
 	inCache := func(id uint64) bool {
 		io.mu.Lock()
@@ -314,7 +348,7 @@ func TestClockEvictionSecondChance(t *testing.T) {
 	write(1)
 	write(2) // ring full: [1, 2], both ref'd from insert? inserts start unref'd
 	// Touch 1 so it holds a second chance; 2 stays cold.
-	if _, err := io.Read(1); err != nil {
+	if _, err := io.ReadShared(1); err != nil {
 		t.Fatal(err)
 	}
 	write(3) // clock must clear 1's ref bit or evict 2 — never evict 1 first

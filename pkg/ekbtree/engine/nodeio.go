@@ -12,27 +12,29 @@ import (
 const DefaultCachePages = 256
 
 // CacheStats counts decoded-node cache traffic since the tree was opened.
+// The JSON tags are the stable wire shape nested under the façade Stats'
+// "cache" field.
 type CacheStats struct {
 	// Hits is the number of node reads served from memory (the cache or a
 	// batch's staged set) without touching the store.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses is the number of node reads that went to the store and paid the
 	// read → decipher → decode round trip.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Evictions is the number of decoded nodes dropped by the clock
 	// replacement policy to make room.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Pages is the number of decoded nodes currently cached.
-	Pages int
+	Pages int `json:"pages"`
 }
 
-// nodeIO adapts a PageStore + NodeCipher into the btree layer's NodeStore:
-// every node write is encoded then sealed, every read is opened then decoded,
-// so the store only ever holds enciphered pages.
+// nodeIO is the engine's node I/O over a PageStore + EpochSealer: every node
+// write is encoded then sealed under an engine-allocated nonce, every read is
+// opened then decoded, so the store only ever holds enciphered pages.
 //
-// On top of the plain adaptation it keeps a bounded cache of decoded nodes
-// with clock (second-chance) eviction, shared by every concurrent writer
-// transaction and every lock-free epoch reader. Under the epoch scheme cached
+// On top of that it keeps a bounded cache of decoded nodes with clock
+// (second-chance) eviction, shared by every concurrent writer transaction
+// and every lock-free epoch reader. Under the epoch scheme cached
 // nodes are IMMUTABLE: the transactional write path (writeTxn) never hands
 // the btree layer a cached node to mutate — it clones on first touch and
 // records the pristine original as the page's pre-image — so readers may
@@ -44,16 +46,12 @@ type CacheStats struct {
 // only in short critical sections — never across store I/O or cipher work.
 type nodeIO struct {
 	st store.PageStore
-	nc cipher.NodeCipher
+	nc cipher.EpochSealer
 	// fmt is the page format every seal encodes with (Config.NodeFormat; the
 	// zero value is the legacy full-key format). Reads auto-detect per page,
 	// so a store written under one format opens fine under another — the
 	// façade's header check is what keeps a tree from silently mixing them.
 	fmt node.Format
-	// es is nc's EpochSealer extension when it has one, nil otherwise. With
-	// it set, transactional seals go through sealEpoch with engine-allocated
-	// (epoch, counter) nonces; without it, the legacy Seal path applies.
-	es cipher.EpochSealer
 
 	mu       sync.Mutex
 	cacheIdx map[uint64]int // page ID -> slot index; nil disables the cache
@@ -103,9 +101,8 @@ func cloneNode(n *node.Node) *node.Node {
 	return c
 }
 
-func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
+func newNodeIO(st store.PageStore, nc cipher.EpochSealer, maxCache int) *nodeIO {
 	io := &nodeIO{st: st, nc: nc, maxCache: maxCache}
-	io.es, _ = nc.(cipher.EpochSealer)
 	if maxCache > 0 {
 		io.cacheIdx = make(map[uint64]int, maxCache)
 		io.slots = make([]cacheSlot, 0, maxCache)
@@ -152,57 +149,11 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	return n, nil
 }
 
-// Read implements btree.NodeStore for direct (non-transactional) nodeIO use:
-// it is ReadShared. Façade mutations read through a writeTxn instead, which
-// clones on first touch and tracks the read-set.
-func (io *nodeIO) Read(id uint64) (*node.Node, error) {
-	return io.ReadShared(id)
-}
-
 // countHit records a node read served from a transaction's staged set.
 func (io *nodeIO) countHit() {
 	io.mu.Lock()
 	io.hits++
 	io.mu.Unlock()
-}
-
-func (io *nodeIO) Write(id uint64, n *node.Node) error {
-	page, err := io.seal(id, n)
-	if err != nil {
-		return err
-	}
-	// A direct single-page write is still routed through the store's atomic
-	// commit hook so a durable backend never applies it partially. This path
-	// is not used by the façade (every façade mutation commits through a
-	// writeTxn and publishes an epoch); it exists for direct nodeIO use in
-	// tests.
-	root, err := io.st.Root()
-	if err != nil {
-		return err
-	}
-	if err := io.st.CommitPages(map[uint64][]byte{id: page}, root, nil); err != nil {
-		// The store rejected the commit; drop any cached copy so a later
-		// read observes the store's truth, not our intent.
-		io.mu.Lock()
-		io.cacheDelete(id)
-		io.mu.Unlock()
-		return err
-	}
-	io.mu.Lock()
-	io.gen++
-	io.cacheInsert(id, n)
-	io.mu.Unlock()
-	return nil
-}
-
-// seal encodes and seals one node into a store-ready page via the cipher's
-// legacy (scheme-chosen nonce) path.
-func (io *nodeIO) seal(id uint64, n *node.Node) ([]byte, error) {
-	pt, err := n.EncodeFormat(io.fmt)
-	if err != nil {
-		return nil, err
-	}
-	return io.nc.Seal(id, pt)
 }
 
 // sealEpoch encodes and seals one node under an engine-allocated
@@ -212,7 +163,7 @@ func (io *nodeIO) sealEpoch(id uint64, n *node.Node, epoch uint32, counter uint6
 	if err != nil {
 		return nil, err
 	}
-	return io.es.SealEpoch(id, epoch, counter, pt)
+	return io.nc.SealEpoch(id, epoch, counter, pt)
 }
 
 // cacheGet returns a cached decoded node and marks its reference bit, giving
@@ -284,25 +235,6 @@ func (io *nodeIO) cacheStats() CacheStats {
 		Evictions: io.evictions,
 		Pages:     len(io.slots),
 	}
-}
-
-func (io *nodeIO) Alloc() (uint64, error) {
-	return io.st.Alloc()
-}
-
-func (io *nodeIO) Free(id uint64) error {
-	io.mu.Lock()
-	io.cacheDelete(id)
-	io.mu.Unlock()
-	return io.st.Free(id)
-}
-
-func (io *nodeIO) Root() (uint64, error) {
-	return io.st.Root()
-}
-
-func (io *nodeIO) SetRoot(id uint64) error {
-	return io.st.SetRoot(id)
 }
 
 // invalidate empties the decoded-node cache. The façade calls it on Close;

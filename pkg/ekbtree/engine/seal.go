@@ -28,7 +28,7 @@ const DefaultHardSealLimit = 1 << 32
 // the counter's top byte (see Config.CounterBase) can never be carried into.
 const maxCounterSpace = 1 << 56
 
-// sealAlloc hands out collision-free (epoch, counter) pairs for an
+// sealAlloc hands out collision-free (epoch, counter) pairs for the engine's
 // EpochSealer cipher and owns the engine's durable seal mark. The invariant
 // it maintains: before any counter is handed to a sealer, a mark covering it
 // is DURABLE in the store (SetSealMark + Sync). Sealed bytes reach the file's
@@ -88,6 +88,27 @@ func (sa *sealAlloc) persistLocked() error {
 	return sa.st.Sync()
 }
 
+// advanceLocked opens the next epoch with a fresh durable reservation of
+// reserve counters, rolling back on a persist error. The durable mark must
+// record the new epoch before any of its counters are issued — a crash
+// between the two would otherwise reopen at the old epoch, later advance
+// again, and replay the new epoch's counters from zero. Callers hold sa.mu
+// and fire onAdvance after releasing it.
+func (sa *sealAlloc) advanceLocked(reserve uint64) error {
+	if sa.epoch == ^uint32(0) {
+		return fmt.Errorf("%w: epoch space exhausted", ErrSealsExhausted)
+	}
+	prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
+	sa.epoch++
+	sa.next = 0
+	sa.reserved = min(reserve, sa.hard)
+	if err := sa.persistLocked(); err != nil {
+		sa.epoch, sa.next, sa.reserved = prevEpoch, prevNext, prevReserved
+		return err
+	}
+	return nil
+}
+
 // take allocates n consecutive counters in the current epoch, returning the
 // epoch and the first counter (base included; the caller uses start+i for
 // page i). Crossing the soft budget advances the epoch first — the new
@@ -98,17 +119,7 @@ func (sa *sealAlloc) take(n int) (uint32, uint64, error) {
 	var advanced uint32
 	epoch, start, err := func() (uint32, uint64, error) {
 		if sa.budget > 0 && sa.next >= sa.budget && sa.epoch < ^uint32(0) {
-			// Soft budget crossed: open the next epoch. The durable mark must
-			// record the new epoch (with a fresh reservation) before any of
-			// its counters are issued — a crash between the two would
-			// otherwise reopen at the old epoch, later advance again, and
-			// replay the new epoch's counters from zero.
-			prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
-			sa.epoch++
-			sa.next = 0
-			sa.reserved = min(uint64(sealReserveChunk)+uint64(n), sa.hard)
-			if err := sa.persistLocked(); err != nil {
-				sa.epoch, sa.next, sa.reserved = prevEpoch, prevNext, prevReserved
+			if err := sa.advanceLocked(uint64(sealReserveChunk) + uint64(n)); err != nil {
 				return 0, 0, err
 			}
 			advanced = sa.epoch
@@ -178,40 +189,19 @@ func (sa *sealAlloc) cleanAtLeast(epoch uint32) bool {
 // rotation ("rotate now", not "rotate at the budget").
 func (g *Engine) AdvanceEpoch() error {
 	sa := g.sa
-	if sa == nil {
-		return nil
-	}
 	sa.mu.Lock()
-	var advanced uint32
-	err := func() error {
-		if sa.epoch == ^uint32(0) {
-			return fmt.Errorf("%w: epoch space exhausted", ErrSealsExhausted)
-		}
-		prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
-		sa.epoch++
-		sa.next = 0
-		sa.reserved = min(uint64(sealReserveChunk), sa.hard)
-		if err := sa.persistLocked(); err != nil {
-			sa.epoch, sa.next, sa.reserved = prevEpoch, prevNext, prevReserved
-			return err
-		}
-		advanced = sa.epoch
-		return nil
-	}()
+	err := sa.advanceLocked(sealReserveChunk)
+	advanced := sa.epoch
 	sa.mu.Unlock()
-	if advanced != 0 && sa.onAdvance != nil {
+	if err == nil && sa.onAdvance != nil {
 		sa.onAdvance(advanced)
 	}
 	return MapErr(err)
 }
 
 // SealState reports the cipher-lifecycle counters for Stats: the current key
-// epoch and how many seals it has issued. Engines over a non-epoch cipher
-// report zeros.
+// epoch and how many seals it has issued.
 func (g *Engine) SealState() (epoch uint32, seals uint64) {
-	if g.sa == nil {
-		return 0, 0
-	}
 	e, _, issued := g.sa.state()
 	return e, issued
 }
@@ -230,12 +220,6 @@ const rotateBatch = 64
 // (ErrNotFound means a newer commit already released them, and new seals are
 // always current-epoch).
 func (g *Engine) staleScan(target uint32) ([]uint64, error) {
-	es, ok := g.io.nc.(interface {
-		SealedEpoch([]byte) (uint32, bool)
-	})
-	if !ok {
-		return nil, nil
-	}
 	e, err := g.es.pin()
 	if err != nil {
 		return nil, err
@@ -267,7 +251,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 			}
 			return nil, MapErr(err)
 		}
-		if sealed, ok := es.SealedEpoch(page); ok && sealed < target {
+		if sealed, ok := g.io.nc.SealedEpoch(page); ok && sealed < target {
 			stale = append(stale, id)
 		}
 	}
@@ -308,9 +292,6 @@ func (g *Engine) resealPages(ids []uint64) error {
 // (rotation commits are ordinary OCC commits and retry on conflict); the
 // façade serializes Rotate calls per engine in its rotator goroutine.
 func (g *Engine) Rotate() (bool, error) {
-	if g.sa == nil {
-		return true, nil
-	}
 	target := g.sa.currentEpoch()
 	if g.sa.cleanAtLeast(target) {
 		return true, nil
@@ -339,9 +320,6 @@ func (g *Engine) Rotate() (bool, error) {
 // answers without a walk); during rotation it is a full O(nodes) sweep, the
 // same order as the shape walk Stats already does.
 func (g *Engine) PendingReseal() (int, error) {
-	if g.sa == nil {
-		return 0, nil
-	}
 	target := g.sa.currentEpoch()
 	if g.sa.cleanAtLeast(target) {
 		return 0, nil

@@ -2,6 +2,10 @@ package ekbtree
 
 import (
 	"bytes"
+	"crypto/aes"
+	stdcipher "crypto/cipher"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -52,7 +56,7 @@ func (wideSub) Width() int                   { return node.MaxKeyLen + 1 }
 func (wideSub) Name() string                 { return "wide" }
 
 func TestErrTooLarge(t *testing.T) {
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xC1}, 32))
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC1}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +104,9 @@ func TestOpenSentinels(t *testing.T) {
 	if _, err := Open(Options{MasterKey: bytes.Repeat([]byte{0xC3}, 32), Store: st}); !errors.Is(err, ErrWrongKey) {
 		t.Errorf("Open with wrong master key = %v, want ErrWrongKey", err)
 	}
-	// Same cipher key, different explicit cipher scheme name: with the
-	// derived AES key the header still deciphers only under the same key, so
-	// a fully different cipher also reports ErrWrongKey.
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xC4}, 32))
+	// An explicit cipher under a different key: the header does not
+	// decipher, so it reports ErrWrongKey too.
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC4}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +134,88 @@ func TestOpenSentinels(t *testing.T) {
 // TestStoreClosedMapsToErrClosed verifies the store-layer taxonomy surfaces
 // through the façade: operations against an externally closed store report
 // ErrClosed, not an anonymous failure.
+// sealOnlyCipher hides every method of its cipher but NodeCipher's own, like
+// a cipher written before the engine owned node nonces.
+type sealOnlyCipher struct{ NodeCipher }
+
+// TestOpenRejectsCipherWithoutEpochSealing pins the fail-closed cipher
+// policy: the engine seals every node page under a nonce it allocates, so a
+// cipher without SealEpoch/SealedEpoch is refused at Open rather than run on
+// a nonce discipline nothing tracks.
+func TestOpenRejectsCipherWithoutEpochSealing(t *testing.T) {
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC6}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{MasterKey: bytes.Repeat([]byte{0xC7}, 32), Cipher: sealOnlyCipher{nc}},
+		{MasterKey: bytes.Repeat([]byte{0xC7}, 32), Cipher: sealOnlyCipher{nc}, Store: NewMemStore()},
+	} {
+		if tr, err := Open(opts); !errors.Is(err, ErrInvalidOptions) {
+			if err == nil {
+				tr.Close()
+			}
+			t.Errorf("Open with a cipher lacking SealEpoch = %v, want ErrInvalidOptions", err)
+		}
+	}
+}
+
+// TestPreEpochFileFailsClosed pins the policy for files written by the
+// pre-epoch random-nonce cipher: their header (sealed under the raw derived
+// cipher key with a random nonce, recording cipher=aes-gcm) still deciphers,
+// so Open reports an honest ErrConfigMismatch, never ErrWrongKey, whether the
+// cipher comes from MasterKey or from NewAESGCMCipher.
+func TestPreEpochFileFailsClosed(t *testing.T) {
+	master := bytes.Repeat([]byte{0xC8}, 32)
+	cipherKey := deriveKey(master, "ekbtree/cipher")
+	sub, err := keysub.NewHMAC(deriveKey(master, "ekbtree/keysub"), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := aes.NewCipher(cipherKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := stdcipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := []byte("ekbtree/1 order=32 keysub=" + sub.Name() + " cipher=aes-gcm")
+	nonce := make([]byte, aead.NonceSize())
+	if _, err := rand.Read(nonce); err != nil {
+		t.Fatal(err)
+	}
+	var aad [8]byte
+	binary.BigEndian.PutUint64(aad[:], metaPageID)
+	sealed := aead.Seal(nonce, nonce, header, aad[:])
+
+	legacyName, err := NewAESGCMCipher(cipherKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name string
+		opts Options
+	}{
+		{"MasterKey", Options{MasterKey: master}},
+		{"NewAESGCMCipher", Options{MasterKey: master, Cipher: legacyName}},
+		{"explicit layers", Options{Substituter: sub, Cipher: legacyName}},
+	} {
+		st := NewMemStore()
+		if err := st.SetMeta(sealed); err != nil {
+			t.Fatal(err)
+		}
+		tt.opts.Store = st
+		tr, err := Open(tt.opts)
+		if err == nil {
+			tr.Close()
+		}
+		if !errors.Is(err, ErrConfigMismatch) || errors.Is(err, ErrWrongKey) {
+			t.Errorf("%s: Open of a pre-epoch file = %v, want ErrConfigMismatch", tt.name, err)
+		}
+	}
+}
+
 func TestStoreClosedMapsToErrClosed(t *testing.T) {
 	st := store.NewMem()
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC5}, 32), Store: st, CachePages: -1})

@@ -55,13 +55,12 @@ func NewBucketedSubstituter(secret []byte, width, prefixBits int) (Substituter, 
 	return keysub.NewBucketed(inner, prefixBits)
 }
 
-// NewAESGCMCipher returns the legacy AES-GCM node cipher (random nonces, one
-// static key, no epochs); the key must be 16, 24, or 32 bytes. Use it to
-// reopen stores written before key epochs existed; new trees should prefer
-// NewEpochAESGCMCipher (what a derived MasterKey cipher is).
-func NewAESGCMCipher(key []byte) (NodeCipher, error) {
-	return cipher.NewAESGCM(key)
-}
+// NewAESGCMCipher returns the epoch-keyed AES-GCM node cipher.
+//
+// Deprecated: use NewEpochAESGCMCipher. The pre-epoch random-nonce cipher
+// this name once returned is gone; files it wrote fail Open with
+// ErrConfigMismatch.
+func NewAESGCMCipher(key []byte) (NodeCipher, error) { return NewEpochAESGCMCipher(key) }
 
 // NewEpochAESGCMCipher returns the epoch-keyed AES-GCM node cipher: per-epoch
 // HKDF subkeys and collision-free counter nonces, supporting seal budgets and

@@ -255,7 +255,7 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xE6}, 32))
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xE6}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}

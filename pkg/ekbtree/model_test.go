@@ -267,9 +267,9 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	t.Logf("model seed %d (rerun with EKBTREE_MODEL_SEED=%d)", seed, seed)
 
 	// Explicit layers so the test can substitute keys itself and map scanned
-	// (substituted) keys back to plaintext. The cipher is the legacy
-	// random-nonce AES-GCM unless a rotation leg pre-set the epoch cipher
-	// (see epochModelOpts) or EKBTREE_SEAL_BUDGET forces it — the CI
+	// (substituted) keys back to plaintext. The cipher is the epoch cipher
+	// at the default seal budget unless a rotation leg pre-set its own (see
+	// epochModelOpts) or EKBTREE_SEAL_BUDGET shrinks the budget — the CI
 	// rotation-smoke seam: a tiny budget makes key epochs advance and the
 	// background rotator re-seal pages continuously beneath the full
 	// concurrent oracle.
@@ -279,19 +279,15 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	}
 	opts.Substituter = sub
 	if opts.Cipher == nil {
+		var budget int64 // zero: DefaultSealBudget
 		if env := os.Getenv("EKBTREE_SEAL_BUDGET"); env != "" {
 			n, err := strconv.ParseInt(env, 10, 64)
 			if err != nil || n == 0 {
 				t.Fatalf("bad EKBTREE_SEAL_BUDGET %q", env)
 			}
-			opts = epochModelOpts(t, opts, n)
-		} else {
-			nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xE2}, 32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Cipher = nc
+			budget = n
 		}
+		opts = epochModelOpts(t, opts, budget)
 	}
 	opts.Order = 8 // small pages: more splits, merges, and multi-page commits
 	tr, err := Open(opts)

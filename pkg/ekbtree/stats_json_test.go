@@ -7,35 +7,44 @@ import (
 	"testing"
 )
 
+// TestStatsJSONRoundTrip pins the exact bytes of the wire Stats shape —
+// snake_case names, field order, nested cache counters, and which fields
+// omitempty drops — for one fully-populated and one all-zero value, and
+// that each decodes back to itself. The ekbtreed Stats op and its clients
+// depend on this shape byte for byte.
 func TestStatsJSONRoundTrip(t *testing.T) {
-	want := Stats{
-		Keys: 42, Nodes: 7, Height: 3,
-		Cache:   CacheStats{Hits: 100, Misses: 20, Evictions: 5, Pages: 64},
-		Commits: 9, Conflicts: 2, Retries: 3,
-		CipherEpoch: 2, Seals: 1234, PagesPendingReseal: 11,
-		FileBytes: 1 << 20, LiveBytes: 900 << 10,
-	}
-	b, err := json.Marshal(want)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	// The wire shape is stable snake_case with nested cache counters.
-	for _, field := range []string{
-		`"keys":42`, `"nodes":7`, `"height":3`, `"hits":100`, `"misses":20`,
-		`"evictions":5`, `"pages":64`, `"commits":9`, `"conflicts":2`, `"retries":3`,
-		`"cipher_epoch":2`, `"seals":1234`, `"pages_pending_reseal":11`,
-		`"file_bytes":1048576`, `"live_bytes":921600`,
+	for _, tt := range []struct {
+		name string
+		s    Stats
+		want string
+	}{
+		{"full", Stats{
+			Keys: 42, Nodes: 7, Height: 3,
+			Cache:   CacheStats{Hits: 100, Misses: 20, Evictions: 5, Pages: 64},
+			Commits: 9, Conflicts: 2, Retries: 3, Shards: 4,
+			CipherEpoch: 2, Seals: 1234, PagesPendingReseal: 11,
+			FileBytes: 1 << 20, LiveBytes: 900 << 10,
+		}, `{"keys":42,"nodes":7,"height":3,"cache":{"hits":100,"misses":20,"evictions":5,"pages":64},` +
+			`"commits":9,"conflicts":2,"retries":3,"shards":4,"cipher_epoch":2,"seals":1234,` +
+			`"pages_pending_reseal":11,"file_bytes":1048576,"live_bytes":921600}`},
+		{"zero", Stats{},
+			`{"keys":0,"nodes":0,"height":0,"cache":{"hits":0,"misses":0,"evictions":0,"pages":0},` +
+				`"commits":0,"conflicts":0,"retries":0}`},
 	} {
-		if !strings.Contains(string(b), field) {
-			t.Errorf("marshaled stats %s missing %s", b, field)
+		b, err := json.Marshal(tt.s)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", tt.name, err)
 		}
-	}
-	var got Stats
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got != want {
-		t.Fatalf("round trip: got %+v, want %+v", got, want)
+		if string(b) != tt.want {
+			t.Errorf("%s: marshaled\n%s\nwant\n%s", tt.name, b, tt.want)
+		}
+		var got Stats
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatalf("%s: Unmarshal: %v", tt.name, err)
+		}
+		if got != tt.s {
+			t.Errorf("%s: round trip: got %+v, want %+v", tt.name, got, tt.s)
+		}
 	}
 }
 
@@ -112,10 +121,10 @@ func TestStatsString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", str, part)
 		}
 	}
-	// Epoch fields only render once the epoch machinery has state; a legacy
-	// cipher's all-zero stats stay out of the string.
+	// Epoch fields only render once the epoch machinery has state; all-zero
+	// lifecycle counters stay out of the string.
 	if strings.Contains(str, "epoch=") {
-		t.Errorf("String() = %q shows epoch state for a legacy-cipher tree", str)
+		t.Errorf("String() = %q shows all-zero epoch state", str)
 	}
 	// Footprint fields only render for stores that measure one; the
 	// in-memory backend's zeros stay out of the string.

@@ -296,7 +296,7 @@ func (m *CursorClose) enc(b []byte) []byte { return appendUvarint(b, m.Cursor) }
 func (m *CursorClose) dec(d *decoder)      { m.Cursor = d.uvarint() }
 
 // Stats asks for the tenant tree's ekbtree.Stats. OK body: the Stats JSON
-// (ekbtree.Stats.MarshalJSON).
+// (encoding/json of ekbtree.Stats, whose field tags fix the shape).
 type Stats struct{}
 
 func (*Stats) op() Op                { return OpStats }
