@@ -17,8 +17,10 @@ binaries:
 	$(GO) build -o bin/ekbtreed ./cmd/ekbtreed
 	$(GO) build -o bin/ekbtree-bench ./cmd/ekbtree-bench
 
+# vet also covers the `large` soak tier, which plain builds never compile.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags large ./pkg/ekbtree/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

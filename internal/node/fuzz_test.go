@@ -7,9 +7,9 @@ import (
 
 // fuzzCanonical is the shared body of both decode fuzz targets: Decode must
 // never panic; when it accepts a page, the codec must be canonical —
-// re-encoding the decoded node in the page's own format reproduces the input
-// byte-for-byte — and the decoded node must satisfy the structural
-// invariants Encode enforces and must not alias the input buffer.
+// re-encoding the decoded node reproduces the input byte-for-byte — and the
+// decoded node must satisfy the structural invariants Encode enforces and
+// must not alias the input buffer.
 func fuzzCanonical(t *testing.T, page []byte) {
 	n, err := Decode(page)
 	if err != nil {
@@ -24,23 +24,22 @@ func fuzzCanonical(t *testing.T, page []byte) {
 	if !n.Leaf && len(n.Children) != len(n.Keys)+1 {
 		t.Fatalf("decoded internal node with %d keys but %d children", len(n.Keys), len(n.Children))
 	}
-	format := FormatOf(page)
-	reenc, err := n.EncodeFormat(format)
+	reenc, err := n.Encode()
 	if err != nil {
 		t.Fatalf("re-encode of decoded node failed: %v", err)
 	}
 	if !bytes.Equal(reenc, page) {
-		t.Fatalf("codec not canonical (format %v):\n in  %x\n out %x", format, page, reenc)
+		t.Fatalf("codec not canonical:\n in  %x\n out %x", page, reenc)
 	}
-	if got := n.EncodedSizeFormat(format); got != len(page) {
-		t.Fatalf("EncodedSizeFormat(%v) = %d, page is %d bytes", format, got, len(page))
+	if got := n.EncodedSize(); got != len(page) {
+		t.Fatalf("EncodedSize = %d, page is %d bytes", got, len(page))
 	}
 	// The decoded node must not alias the page: clobber the input and
 	// re-encode again.
 	for i := range page {
 		page[i] ^= 0xFF
 	}
-	reenc2, err := n.EncodeFormat(format)
+	reenc2, err := n.Encode()
 	if err != nil {
 		t.Fatalf("re-encode after input clobber failed: %v", err)
 	}
@@ -50,8 +49,9 @@ func fuzzCanonical(t *testing.T, page []byte) {
 }
 
 // FuzzDecode throws arbitrary bytes at the page decoder, seeded with
-// full-format pages (plus the checked-in corpus under
-// testdata/fuzz/FuzzDecode).
+// encoded pages plus the checked-in corpus under testdata/fuzz/FuzzDecode.
+// That corpus also holds full-key pages from the retired layout (the seed-*
+// files without a prefix- infix), which Decode must reject.
 func FuzzDecode(f *testing.F) {
 	seeds := []*Node{
 		{Leaf: true},
@@ -79,17 +79,18 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xEB, 0x01, 0x00, 0x00, 0x00})
+	f.Add([]byte{0xEB, 0x01, 0x02, 0x00, 0x00})
 
 	f.Fuzz(fuzzCanonical)
 }
 
 // FuzzDecodePrefixTruncated aims the same canonicality harness at the
-// prefix-truncated format: seeds are prefix-encoded internal and leaf nodes
-// whose keys share long prefixes (the shape substituted separator keys
-// take), plus hand-built near-misses — over-truncation (shared beyond the
-// previous key), under-truncation (a suffix that still matches the previous
-// key), and an unknown flag bit — all of which Decode must reject. The
-// checked-in corpus lives under testdata/fuzz/FuzzDecodePrefixTruncated.
+// prefix truncation itself: seeds are internal and leaf nodes whose keys
+// share long prefixes (the shape substituted separator keys take), plus
+// hand-built near-misses — over-truncation (shared beyond the previous key),
+// under-truncation (a suffix that still matches the previous key), and an
+// unknown flag bit — all of which Decode must reject. The checked-in corpus
+// lives under testdata/fuzz/FuzzDecodePrefixTruncated.
 func FuzzDecodePrefixTruncated(f *testing.F) {
 	seeds := []*Node{
 		{Leaf: true},
@@ -122,7 +123,7 @@ func FuzzDecodePrefixTruncated(f *testing.F) {
 		},
 	}
 	for _, n := range seeds {
-		page, err := n.EncodeFormat(FormatPrefix)
+		page, err := n.Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func FuzzDecodePrefixTruncated(f *testing.F) {
 		Leaf:   true,
 		Keys:   [][]byte{[]byte("ab"), []byte("ac")},
 		Values: [][]byte{{}, {}},
-	}).EncodeFormat(FormatPrefix)
+	}).Encode()
 	if err != nil {
 		f.Fatal(err)
 	}

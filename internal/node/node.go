@@ -7,21 +7,20 @@
 //
 //	magic    byte    0xEB
 //	version  byte    0x01
-//	flags    byte    bit0 = leaf, bit1 = prefix-truncated keys
+//	flags    byte    bit0 = leaf, bit1 = prefix-truncated keys (always set)
 //	nkeys    uint16
-//	keys     full:   nkeys × (uint16 len, bytes)
-//	         prefix: nkeys × (uint16 shared, uint16 suffixLen, suffix bytes)
+//	keys     nkeys × (uint16 shared, uint16 suffixLen, suffix bytes)
 //	values   nkeys × (uint32 len, bytes)
 //	children (nkeys+1) × uint64   (internal nodes only)
 //
-// In prefix form each key stores only the bytes after its longest common
-// prefix with the PREVIOUS key on the page. Substituted keys in one node
-// share long bucket prefixes (the substitution is order-preserving), so this
-// is real density: fatter fanout, shallower trees, fewer seals per lookup.
-// The truncation is canonical — shared must be exactly the longest common
-// prefix, so every accepted page re-encodes byte-for-byte — and a decoder
-// that predates the flag rejects prefix pages outright (unknown flag bit),
-// never misreading them.
+// There is one key layout: each key stores only the bytes after its longest
+// common prefix with the PREVIOUS key on the page. Substituted keys in one
+// node share long bucket prefixes (the substitution is order-preserving), so
+// this is real density: fatter fanout, shallower trees, fewer seals per
+// lookup. The truncation is canonical — shared must be exactly the longest
+// common prefix, so every accepted page re-encodes byte-for-byte. Bit 1 is
+// set on every page; a page with it clear (the retired full-key layout) is
+// rejected with ErrDecode rather than misread.
 package node
 
 import (
@@ -49,38 +48,6 @@ const (
 
 // ErrDecode is returned when a page does not decode to a valid node.
 var ErrDecode = errors.New("node: malformed page")
-
-// Format selects the on-page key encoding Encode writes. Decode accepts both
-// formats, dispatching on the page's flag byte.
-type Format byte
-
-const (
-	// FormatFull stores every key whole — the original page layout, byte-
-	// identical to what pre-prefix builds wrote.
-	FormatFull Format = iota
-	// FormatPrefix stores each key as (shared, suffix) against the previous
-	// key on the page.
-	FormatPrefix
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatFull:
-		return "full"
-	case FormatPrefix:
-		return "prefix"
-	}
-	return fmt.Sprintf("Format(%d)", byte(f))
-}
-
-// FormatOf reports which key encoding a page uses, from its flag byte. It
-// does not validate the page; malformed pages still fail in Decode.
-func FormatOf(page []byte) Format {
-	if len(page) >= headerSize && page[2]&flagPrefix != 0 {
-		return FormatPrefix
-	}
-	return FormatFull
-}
 
 // Node is a B-tree node. For a node with n keys, leaves have n values and no
 // children; internal nodes have n values (the payloads of their separator
@@ -113,26 +80,13 @@ func commonPrefixLen(a, b []byte) int {
 	return i
 }
 
-// EncodedSize returns the exact size in bytes of Encode's output
-// (FormatFull).
+// EncodedSize returns the exact size in bytes of Encode's output.
 func (n *Node) EncodedSize() int {
-	return n.EncodedSizeFormat(FormatFull)
-}
-
-// EncodedSizeFormat returns the exact size in bytes of EncodeFormat(f)'s
-// output.
-func (n *Node) EncodedSizeFormat(f Format) int {
 	size := headerSize
-	if f == FormatPrefix {
-		var prev []byte
-		for _, k := range n.Keys {
-			size += 4 + len(k) - commonPrefixLen(prev, k)
-			prev = k
-		}
-	} else {
-		for _, k := range n.Keys {
-			size += 2 + len(k)
-		}
+	var prev []byte
+	for _, k := range n.Keys {
+		size += 4 + len(k) - commonPrefixLen(prev, k)
+		prev = k
 	}
 	for _, v := range n.Values {
 		size += 4 + len(v)
@@ -143,17 +97,8 @@ func (n *Node) EncodedSizeFormat(f Format) int {
 	return size
 }
 
-// Encode serializes the node to a fresh page buffer in FormatFull.
+// Encode serializes the node to a fresh page buffer.
 func (n *Node) Encode() ([]byte, error) {
-	return n.EncodeFormat(FormatFull)
-}
-
-// EncodeFormat serializes the node to a fresh page buffer in the given
-// format.
-func (n *Node) EncodeFormat(f Format) ([]byte, error) {
-	if f != FormatFull && f != FormatPrefix {
-		return nil, fmt.Errorf("node: unknown format %d", byte(f))
-	}
 	if len(n.Values) != len(n.Keys) {
 		return nil, fmt.Errorf("node: %d keys but %d values", len(n.Keys), len(n.Values))
 	}
@@ -166,13 +111,10 @@ func (n *Node) EncodeFormat(f Format) ([]byte, error) {
 	if len(n.Keys) > 1<<16-1 {
 		return nil, fmt.Errorf("node: too many keys: %d", len(n.Keys))
 	}
-	buf := make([]byte, 0, n.EncodedSizeFormat(f))
-	flags := byte(0)
+	buf := make([]byte, 0, n.EncodedSize())
+	flags := byte(flagPrefix)
 	if n.Leaf {
 		flags |= flagLeaf
-	}
-	if f == FormatPrefix {
-		flags |= flagPrefix
 	}
 	buf = append(buf, magic, version, flags)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.Keys)))
@@ -181,16 +123,11 @@ func (n *Node) EncodeFormat(f Format) ([]byte, error) {
 		if len(k) > MaxKeyLen {
 			return nil, fmt.Errorf("node: key too long: %d", len(k))
 		}
-		if f == FormatPrefix {
-			shared := commonPrefixLen(prev, k)
-			buf = binary.BigEndian.AppendUint16(buf, uint16(shared))
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)-shared))
-			buf = append(buf, k[shared:]...)
-			prev = k
-		} else {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-			buf = append(buf, k...)
-		}
+		shared := commonPrefixLen(prev, k)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(shared))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)-shared))
+		buf = append(buf, k[shared:]...)
+		prev = k
 	}
 	for _, v := range n.Values {
 		if int64(len(v)) > MaxValueLen {
@@ -207,66 +144,61 @@ func (n *Node) EncodeFormat(f Format) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a page produced by Encode or EncodeFormat, dispatching on
-// the page's flag byte. The returned node owns fresh buffers and does not
-// alias the page. All key and value bytes share one backing buffer
-// (allocated once, sized up front) rather than one allocation each —
-// decoding is on the cache-miss path of every read, and per-entry
+// Decode parses a page produced by Encode. The returned node owns fresh
+// buffers and does not alias the page. All key and value bytes share one
+// backing buffer (allocated once, sized up front) rather than one allocation
+// each — decoding is on the cache-miss path of every read, and per-entry
 // allocations dominated its cost. Each key/value slice is capacity-clipped,
 // so appending to one can never clobber its neighbors.
 //
-// Prefix pages are held to canonical truncation: shared must be exactly the
-// longest common prefix with the reconstructed previous key. Over-sharing
-// (shared longer than the previous key) and under-sharing (a suffix whose
-// first byte still matches the previous key at that position) both reject,
-// so an accepted page re-encodes byte-for-byte in its own format.
+// Pages are held to canonical truncation: shared must be exactly the longest
+// common prefix with the reconstructed previous key. Over-sharing (shared
+// longer than the previous key) and under-sharing (a suffix whose first byte
+// still matches the previous key at that position) both reject, so an
+// accepted page re-encodes byte-for-byte. A page without the prefix flag (the
+// retired full-key layout) rejects too.
 func Decode(page []byte) (*Node, error) {
 	if len(page) < headerSize || page[0] != magic || page[1] != version {
 		return nil, ErrDecode
 	}
 	flags := page[2]
-	if flags&^byte(flagLeaf|flagPrefix) != 0 {
-		// Unknown flag bits: reject rather than silently dropping them, so
-		// every accepted page re-encodes byte-identically (canonical codec).
+	if flags&^byte(flagLeaf) != flagPrefix {
+		// Unknown flag bits, or a full-key page: reject rather than
+		// misreading, so every accepted page re-encodes byte-identically
+		// (canonical codec).
 		return nil, ErrDecode
 	}
-	prefix := flags&flagPrefix != 0
 	nkeys := int(binary.BigEndian.Uint16(page[3:5]))
 	n := &Node{Leaf: flags&flagLeaf != 0}
 	rest := page[headerSize:]
 
-	// Size the arena. For full pages the payload is strictly smaller than the
-	// page. Prefix pages expand when keys are reconstructed, so pre-scan the
-	// key headers (cheap: skips suffix bytes) to find the exact total; the
-	// scan also front-loads the length arithmetic, leaving the decode loop
-	// free of bounds failures.
-	arenaCap := len(page) - headerSize
-	if prefix {
-		total, prevLen := 0, 0
-		scan := rest
-		for i := 0; i < nkeys; i++ {
-			if len(scan) < 4 {
-				return nil, ErrDecode
-			}
-			shared := int(binary.BigEndian.Uint16(scan))
-			slen := int(binary.BigEndian.Uint16(scan[2:]))
-			scan = scan[4:]
-			if len(scan) < slen || shared > prevLen || (i == 0 && shared != 0) {
-				return nil, ErrDecode
-			}
-			prevLen = shared + slen
-			if prevLen > MaxKeyLen {
-				// Reconstructed key would exceed the encodable bound.
-				return nil, ErrDecode
-			}
-			total += prevLen
-			scan = scan[slen:]
+	// Size the arena. Keys expand when reconstructed, so pre-scan the key
+	// headers (cheap: skips suffix bytes) to find the exact total; the scan
+	// also front-loads the length arithmetic, leaving the decode loop free of
+	// bounds failures.
+	total, prevLen := 0, 0
+	scan := rest
+	for i := 0; i < nkeys; i++ {
+		if len(scan) < 4 {
+			return nil, ErrDecode
 		}
-		// len(scan) is the values+children section; values fit inside it, so
-		// the arena never reallocates.
-		arenaCap = total + len(scan)
+		shared := int(binary.BigEndian.Uint16(scan))
+		slen := int(binary.BigEndian.Uint16(scan[2:]))
+		scan = scan[4:]
+		if len(scan) < slen || shared > prevLen || (i == 0 && shared != 0) {
+			return nil, ErrDecode
+		}
+		prevLen = shared + slen
+		if prevLen > MaxKeyLen {
+			// Reconstructed key would exceed the encodable bound.
+			return nil, ErrDecode
+		}
+		total += prevLen
+		scan = scan[slen:]
 	}
-	buf := make([]byte, 0, arenaCap)
+	// len(scan) is the values+children section; values fit inside it, so the
+	// arena never reallocates.
+	buf := make([]byte, 0, total+len(scan))
 	take := func(src []byte) []byte {
 		start := len(buf)
 		buf = append(buf, src...)
@@ -276,34 +208,21 @@ func Decode(page []byte) (*Node, error) {
 	n.Keys = make([][]byte, nkeys)
 	var prev []byte
 	for i := range n.Keys {
-		if prefix {
-			// Bounds were proven by the pre-scan; only canonicality remains.
-			shared := int(binary.BigEndian.Uint16(rest))
-			slen := int(binary.BigEndian.Uint16(rest[2:]))
-			rest = rest[4:]
-			suffix := rest[:slen]
-			rest = rest[slen:]
-			if shared < len(prev) && slen > 0 && suffix[0] == prev[shared] {
-				// Under-truncated: the canonical encoder would have shared
-				// one more byte.
-				return nil, ErrDecode
-			}
-			start := len(buf)
-			buf = append(buf, prev[:shared]...)
-			buf = append(buf, suffix...)
-			n.Keys[i] = buf[start:len(buf):len(buf)]
-		} else {
-			if len(rest) < 2 {
-				return nil, ErrDecode
-			}
-			klen := int(binary.BigEndian.Uint16(rest))
-			rest = rest[2:]
-			if len(rest) < klen {
-				return nil, ErrDecode
-			}
-			n.Keys[i] = take(rest[:klen])
-			rest = rest[klen:]
+		// Bounds were proven by the pre-scan; only canonicality remains.
+		shared := int(binary.BigEndian.Uint16(rest))
+		slen := int(binary.BigEndian.Uint16(rest[2:]))
+		rest = rest[4:]
+		suffix := rest[:slen]
+		rest = rest[slen:]
+		if shared < len(prev) && slen > 0 && suffix[0] == prev[shared] {
+			// Under-truncated: the canonical encoder would have shared one
+			// more byte.
+			return nil, ErrDecode
 		}
+		start := len(buf)
+		buf = append(buf, prev[:shared]...)
+		buf = append(buf, suffix...)
+		n.Keys[i] = buf[start:len(buf):len(buf)]
 		prev = n.Keys[i]
 	}
 	n.Values = make([][]byte, nkeys)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -42,6 +43,50 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 			if len(page) != tt.n.EncodedSize() {
 				t.Errorf("len(page) = %d, EncodedSize = %d", len(page), tt.n.EncodedSize())
+			}
+			got, err := Decode(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !nodesEqual(got, tt.n) {
+				t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, tt.n)
+			}
+		})
+	}
+}
+
+// TestEncodeGolden pins Encode's output byte for byte — one leaf and one
+// internal page, captured from the encoder before prefix truncation became
+// the only layout — so pages written by earlier builds and by this one are
+// interchangeable.
+func TestEncodeGolden(t *testing.T) {
+	tests := []struct {
+		name string
+		n    *Node
+		want string
+	}{
+		{"leaf", &Node{
+			Leaf:   true,
+			Keys:   [][]byte{{}, []byte("bucket07-a1"), []byte("bucket07-a9"), []byte("bucket07-b"), []byte("bucket08")},
+			Values: [][]byte{{}, []byte("v1"), {0x00, 0xFF}, []byte("value-3"), {}},
+		}, "eb01030005000000000000000b6275636b657430372d6131000a00013900090001620007000138" +
+			"000000000000000276310000000200ff0000000776616c75652d3300000000"},
+		{"internal", &Node{
+			Keys:     [][]byte{[]byte("userhist-0017"), []byte("userhist-0042"), []byte("userhist-1000")},
+			Values:   [][]byte{[]byte("s0"), {}, []byte("s2")},
+			Children: []uint64{7, 1 << 33, 12, ^uint64(0)},
+		}, "eb010200030000000d75736572686973742d30303137000b0002343200090004313030300000" +
+			"000273300000000000000002733200000000000000070000000200000000000000000000000c" +
+			"ffffffffffffffff"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			page, err := tt.n.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(page); got != tt.want {
+				t.Fatalf("Encode =\n %s\nwant\n %s", got, tt.want)
 			}
 			got, err := Decode(page)
 			if err != nil {
@@ -139,10 +184,24 @@ func TestDecodeDoesNotAliasPage(t *testing.T) {
 	}
 }
 
-// TestPrefixFormatRoundTrip proves the prefix-truncated format is a lossless
-// re-encoding: every node round-trips through FormatPrefix, the page carries
-// the prefix flag, and for the prefix-sharing key shapes the substituter
-// produces it is strictly smaller than the full format.
+// fullKeySize is the size the retired full-key layout (uint16 length +
+// whole key per entry) would give n: the yardstick prefix truncation is
+// measured against.
+func fullKeySize(n *Node) int {
+	size := headerSize
+	for _, k := range n.Keys {
+		size += 2 + len(k)
+	}
+	for _, v := range n.Values {
+		size += 4 + len(v)
+	}
+	return size + 8*len(n.Children)
+}
+
+// TestPrefixFormatRoundTrip proves prefix truncation is a lossless encoding:
+// every node round-trips, the page carries the prefix flag, and for the
+// prefix-sharing key shapes the substituter produces it is strictly smaller
+// than storing every key whole.
 func TestPrefixFormatRoundTrip(t *testing.T) {
 	shared := &Node{
 		Keys: [][]byte{
@@ -176,25 +235,18 @@ func TestPrefixFormatRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			page, err := tt.n.EncodeFormat(FormatPrefix)
+			page, err := tt.n.Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(page) != tt.n.EncodedSizeFormat(FormatPrefix) {
-				t.Errorf("len(page) = %d, EncodedSizeFormat = %d", len(page), tt.n.EncodedSizeFormat(FormatPrefix))
+			if len(page) != tt.n.EncodedSize() {
+				t.Errorf("len(page) = %d, EncodedSize = %d", len(page), tt.n.EncodedSize())
 			}
-			if FormatOf(page) != FormatPrefix {
-				t.Error("prefix page not flagged as FormatPrefix")
+			if page[2]&flagPrefix == 0 {
+				t.Error("page not flagged as prefix-truncated")
 			}
-			full, err := tt.n.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if FormatOf(full) != FormatFull {
-				t.Error("full page not reported as FormatFull")
-			}
-			if tt.wantSmaller && len(page) >= len(full) {
-				t.Errorf("prefix page %dB not smaller than full page %dB", len(page), len(full))
+			if full := fullKeySize(tt.n); tt.wantSmaller && len(page) >= full {
+				t.Errorf("prefix page %dB not smaller than full-key page %dB", len(page), full)
 			}
 			got, err := Decode(page)
 			if err != nil {
@@ -211,14 +263,15 @@ func TestPrefixFormatRoundTrip(t *testing.T) {
 // prefix format: over-truncation (shared reaching past the previous key),
 // under-truncation (a suffix whose first byte the encoder would have
 // shared), a nonzero shared on the first key, a reconstructed key past
-// MaxKeyLen, and unknown flag bits must all return ErrDecode.
+// MaxKeyLen, unknown flag bits, and a full-key page (prefix flag clear) must
+// all return ErrDecode.
 func TestPrefixDecodeRejectsNonCanonical(t *testing.T) {
 	// Keys "ab","ac" encode as header, (0,2,"ab"), (1,1,"c"), then values.
 	valid, err := (&Node{
 		Leaf:   true,
 		Keys:   [][]byte{[]byte("ab"), []byte("ac")},
 		Values: [][]byte{{}, {}},
-	}).EncodeFormat(FormatPrefix)
+	}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +291,7 @@ func TestPrefixDecodeRejectsNonCanonical(t *testing.T) {
 		{"under-truncated", mut(headerSize+10, 'b')}, // key2 suffix "b" matches prev[1]
 		{"first key shared", mut(headerSize+1, 1)},
 		{"unknown flag bit", mut(2, valid[2]|1<<5)},
+		{"full-format page", mut(2, valid[2]&^flagPrefix)},
 		{"truncated suffix", valid[:len(valid)-9]},
 	}
 	for _, tt := range tests {
@@ -271,7 +325,7 @@ func TestPrefixDecodeArenaIsolation(t *testing.T) {
 		Keys:   [][]byte{[]byte("shared-a"), []byte("shared-b"), []byte("shared-c")},
 		Values: [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")},
 	}
-	page, err := n.EncodeFormat(FormatPrefix)
+	page, err := n.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,11 +223,18 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 		// these reads are of stable bytes. A flush already in flight when we
 		// re-lock started from the same durable state and so also leaves
 		// them alone.
+		//
+		// A read error is only final if no flush installed since selection:
+		// an installed flush may have retreated the frontier over a selected
+		// extent and truncated it away under the read, the stale case the
+		// txid check below reselects from.
 		writes := make(map[uint64][]byte, len(batch))
+		var readErr error
 		for _, c := range batch {
 			buf := make([]byte, c.ext.len)
 			if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
-				return false, fmt.Errorf("file: vacuum read page %d: %w", c.id, err)
+				readErr = fmt.Errorf("file: vacuum read page %d: %w", c.id, err)
+				break
 			}
 			writes[c.id] = buf
 		}
@@ -248,6 +255,10 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 			// recycled extents — are stale. Reselect.
 			s.mu.Unlock()
 			continue
+		}
+		if readErr != nil {
+			s.mu.Unlock()
+			return false, readErr
 		}
 		// Durable mappings are exactly as selected; drop only pages that
 		// gained overlay state since (their relocation would clobber the
@@ -341,11 +352,15 @@ func (s *Store) liftStep() (bool, error) {
 			return false, nil
 		}
 
+		// As in vacuumStep, a read error is final only if the txid check
+		// below finds the selection still current.
 		writes := make(map[uint64][]byte, len(batch))
+		var readErr error
 		for _, c := range batch {
 			buf := make([]byte, c.ext.len)
 			if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
-				return false, fmt.Errorf("file: vacuum lift read page %d: %w", c.id, err)
+				readErr = fmt.Errorf("file: vacuum lift read page %d: %w", c.id, err)
+				break
 			}
 			writes[c.id] = buf
 		}
@@ -363,6 +378,10 @@ func (s *Store) liftStep() (bool, error) {
 		if s.txid != selTxid {
 			s.mu.Unlock()
 			continue
+		}
+		if readErr != nil {
+			s.mu.Unlock()
+			return false, readErr
 		}
 		for id := range writes {
 			if !s.vacuumQuietLocked(id) {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -394,5 +395,74 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 				break // n exceeded the pass's op count: full sweep done
 			}
 		}
+	}
+}
+
+// readHookFile runs an armed hook once, inside the next ReadAt and before
+// the read itself. Embedding *os.File keeps Truncate, so frontier retreats
+// physically shrink the file.
+type readHookFile struct {
+	*os.File
+	hook atomic.Pointer[func()]
+}
+
+func (f *readHookFile) ReadAt(p []byte, off int64) (int, error) {
+	if h := f.hook.Swap(nil); h != nil {
+		(*h)()
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestVacuumReadRacesTruncate pins vacuum's lock-free batch read against a
+// flush that installs mid-read: the flush frees every page above the lowest
+// one, the frontier retreats, and the truncate cuts the extents vacuum is
+// about to read, so the read fails with EOF. The batch is merely stale — the
+// same case the txid revalidation handles — so Vacuum must reselect and
+// succeed rather than report the read error.
+func TestVacuumReadRacesTruncate(t *testing.T) {
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), "race.ekb"), os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf := &readHookFile{File: f}
+	s, err := OpenWith(hf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buildGarbage(t, s)
+
+	fired := false
+	hook := func() {
+		fired = true
+		s.mu.RLock()
+		var keep uint64
+		low := int64(1) << 62
+		for id, e := range s.pages {
+			if e.off < low {
+				low, keep = e.off, id
+			}
+		}
+		var frees []uint64
+		for id := range s.pages {
+			if id != keep {
+				frees = append(frees, id)
+			}
+		}
+		s.mu.RUnlock()
+		before, _ := s.Space()
+		if err := s.CommitPages(nil, keep, frees); err != nil {
+			t.Errorf("hook commit: %v", err)
+		}
+		if after, _ := s.Space(); after >= before {
+			t.Errorf("hook commit did not retreat the frontier: %d -> %d", before, after)
+		}
+	}
+	hf.hook.Store(&hook)
+	if err := s.Vacuum(0); err != nil {
+		t.Fatalf("Vacuum with a truncate racing its read: %v", err)
+	}
+	if !fired {
+		t.Fatal("vacuum never read a page; the race was not exercised")
 	}
 }

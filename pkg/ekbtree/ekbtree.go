@@ -198,35 +198,7 @@ type Options struct {
 	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
 	// engine default (2^32); values above 2^56 are clamped.
 	SealHardLimit uint64
-	// NodeEncoding selects the on-page node format; see the NodeEncoding
-	// constants. The zero value (EncodingAuto) writes new trees with
-	// common-prefix truncation and reopens existing trees with whatever
-	// format their sealed header records. The resolved encoding is part of
-	// the header, so a tree never silently mixes formats: requesting one
-	// explicitly against a tree written with the other fails with
-	// ErrConfigMismatch.
-	NodeEncoding NodeEncoding
 }
-
-// NodeEncoding selects how node pages lay out their keys; see
-// Options.NodeEncoding.
-type NodeEncoding int
-
-const (
-	// EncodingAuto (the default) resolves to EncodingPrefix for freshly
-	// created trees and to the sealed header's recorded format for existing
-	// ones, so reopening never mismatches.
-	EncodingAuto NodeEncoding = iota
-	// EncodingPrefix stores each key as (shared-prefix length, suffix)
-	// against its left neighbor within the node. Substituters that preserve
-	// key locality (e.g. the bucketed scheme) produce long shared runs, and
-	// sorted nodes always share at least what the key distribution gives —
-	// typically a large on-disk saving at a negligible decode cost.
-	EncodingPrefix
-	// EncodingFull stores every key in full, byte-identical to trees written
-	// before prefix truncation existed.
-	EncodingFull
-)
 
 // DefaultSealBudget is the per-epoch seal budget when Options.SealBudget is
 // zero: 2^30 page seals per shard before the key epoch rotates. Far below
@@ -311,11 +283,6 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.EpochS
 	}
 	if o.MaxEpochAge < 0 {
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative MaxEpochAge", ErrInvalidOptions)
-	}
-	switch o.NodeEncoding {
-	case EncodingAuto, EncodingPrefix, EncodingFull:
-	default:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: unknown NodeEncoding %d", ErrInvalidOptions, int(o.NodeEncoding))
 	}
 	shards = o.Shards
 	switch {
@@ -450,11 +417,11 @@ type Tree struct {
 
 // Open builds a tree from opts. Reopening an existing store requires the same
 // substituter and cipher keys it was written with: a wrong cipher key fails
-// with ErrWrongKey, a mismatched order, scheme, or shard layout with
-// ErrConfigMismatch, and a structurally damaged file (Path backend) with
-// ErrCorrupt. Recovery of an interrupted commit needs no replay: the file
-// store's shadow-paged commit leaves the last durable state directly
-// readable.
+// with ErrWrongKey, a mismatched order, scheme, or shard layout (or a tree
+// written in the retired full-key page format) with ErrConfigMismatch, and a
+// structurally damaged file (Path backend) with ErrCorrupt. Recovery of an
+// interrupted commit needs no replay: the file store's shadow-paged commit
+// leaves the last durable state directly readable.
 func Open(opts Options) (*Tree, error) {
 	order, sub, nc, cachePages, shards, err := opts.validate()
 	if err != nil {
@@ -494,30 +461,19 @@ func Open(opts Options) (*Tree, error) {
 		}
 		return nil, mapErr(err)
 	}
-	enc := opts.NodeEncoding
 	for i := 0; i < shards; i++ {
 		st, err := openShardStore(opts, i, shards)
 		if err != nil {
 			return fail(err)
 		}
-		format, err := checkHeader(st, nc, sub, order, i, shards, enc)
-		if err != nil {
+		if err := checkHeader(st, nc, sub, order, i, shards); err != nil {
 			if ownStore {
 				st.Close()
 			}
 			return fail(err)
 		}
-		// Shard 0 resolves EncodingAuto; the remaining shards must then match
-		// it exactly, so a shard set with mixed node formats fails closed with
-		// ErrConfigMismatch instead of opening half-truncated.
-		if enc == EncodingAuto {
-			enc = EncodingFull
-			if format == node.FormatPrefix {
-				enc = EncodingPrefix
-			}
-		}
 		g, err := engine.New(engine.Config{
-			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: format,
+			Store: st, Cipher: nc, Order: order, CachePages: cachePages,
 			SealBudget:     sealBudget,
 			HardSealLimit:  opts.SealHardLimit,
 			CounterBase:    uint64(i) << 56,
@@ -627,65 +583,50 @@ func (t *Tree) AdvanceEpoch() error {
 const metaPageID = store.NoRoot
 
 // encPrefixToken is the header suffix recording prefix-truncated node
-// encoding. Full encoding records NO token, keeping headers byte-identical
-// to trees written before prefix truncation existed.
+// encoding, the only page format. Headers without it belong to trees written
+// with the retired full-key format, which fail closed.
 const encPrefixToken = " enc=prefix"
 
 // checkHeader validates an existing store's engine header against the opened
-// configuration, or writes one into a fresh store, and returns the resolved
-// node format. The header is sealed with the node cipher, so opening an
-// existing store with the wrong key fails here, fast and closed, instead of
-// on the first Get. For sharded trees the header additionally seals the
-// shard's index and the total shard count, so a file can never be opened as
-// part of a differently-sharded tree (or as a different shard of the same
-// tree); single-shard full-encoding headers are byte-identical to
-// pre-sharding versions, keeping existing files openable.
+// configuration, or writes one into a fresh store. The header is sealed with
+// the node cipher, so opening an existing store with the wrong key fails
+// here, fast and closed, instead of on the first Get. For sharded trees the
+// header additionally seals the shard's index and the total shard count, so
+// a file can never be opened as part of a differently-sharded tree (or as a
+// different shard of the same tree).
 //
-// The node encoding rides the header too: enc resolves against it (fresh
-// stores take EncodingAuto as prefix; existing stores resolve Auto from the
-// recorded format), so a tree never mixes formats and an explicit request
-// against a differently-encoded tree fails with ErrConfigMismatch.
-func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substituter, order, idx, total int, enc NodeEncoding) (node.Format, error) {
+// The node encoding rides the header too. Every tree is written with prefix
+// truncation; a header without the token records a full-key tree, which
+// this build cannot read, so it fails with ErrConfigMismatch instead of
+// surfacing as corrupt pages on the first read.
+func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substituter, order, idx, total int) error {
 	base := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", order, sub.Name(), nc.Name())
 	if total > 1 {
 		base += fmt.Sprintf(" shards=%d/%d", idx, total)
 	}
+	want := base + encPrefixToken
 	meta, err := st.Meta()
 	if err != nil {
-		return node.FormatFull, err
+		return err
 	}
 	if len(meta) == 0 {
-		want, format := base+encPrefixToken, node.FormatPrefix
-		if enc == EncodingFull {
-			want, format = base, node.FormatFull
-		}
 		sealed, err := nc.Seal(metaPageID, []byte(want))
 		if err != nil {
-			return node.FormatFull, err
+			return err
 		}
-		return format, st.SetMeta(sealed)
+		return st.SetMeta(sealed)
 	}
 	got, err := nc.Open(metaPageID, meta)
 	if err != nil {
-		return node.FormatFull, fmt.Errorf("%w: cannot open store header: %v", ErrWrongKey, err)
+		return fmt.Errorf("%w: cannot open store header: %v", ErrWrongKey, err)
 	}
-	if enc == EncodingAuto {
-		switch string(got) {
-		case base:
-			return node.FormatFull, nil
-		case base + encPrefixToken:
-			return node.FormatPrefix, nil
-		}
-		return node.FormatFull, fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, base)
+	switch string(got) {
+	case want:
+		return nil
+	case base:
+		return fmt.Errorf("%w: store %q uses full-key node encoding, which is no longer supported", ErrConfigMismatch, got)
 	}
-	want, format := base, node.FormatFull
-	if enc == EncodingPrefix {
-		want, format = base+encPrefixToken, node.FormatPrefix
-	}
-	if string(got) != want {
-		return node.FormatFull, fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, want)
-	}
-	return format, nil
+	return fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, want)
 }
 
 // substituteKey maps a plaintext key to its substituted form, defensively

@@ -12,10 +12,10 @@ package ekbtree
 // result against a deterministic oracle: exact key count, strict key
 // ordering, every value parsing back to its key's index with the final
 // generation's tag, and the index sum matching the closed form. A second leg
-// runs the identical workload with full (pre-PR) node encoding and no
-// vacuum — the configuration whose file is floored at the bulk-load peak
-// forever — and the test asserts the prefix+vacuum configuration lands at
-// least 25% lower bytes/key.
+// runs the identical workload with full-key node pages (the test-only
+// fullTranscoder baseline) and no vacuum — the configuration whose file is
+// floored at the bulk-load peak forever — and the test asserts the
+// prefix+vacuum configuration lands at least 25% lower bytes/key.
 //
 //	go test -tags large -run TestLargeIngestSoak ./pkg/ekbtree/   # 2M keys
 //	EKBTREE_LARGE_KEYS=20000000 ...                               # nightly
@@ -95,12 +95,15 @@ type largeLeg struct {
 	reopenNs     int64
 }
 
-func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, vacuum bool) largeLeg {
+// largeMaster is the master key of every soak leg.
+var largeMaster = bytes.Repeat([]byte{0x5A}, 32)
+
+// runLargeLeg runs one leg; nc nil means the cipher largeMaster derives.
+func runLargeLeg(t *testing.T, name string, keys, shards int, nc NodeCipher, vacuum bool) largeLeg {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, name+".ekb")
-	master := bytes.Repeat([]byte{0x5A}, 32)
-	inner, err := keysub.NewHMAC(master, 16)
+	inner, err := keysub.NewHMAC(largeMaster, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +112,12 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 		t.Fatal(err)
 	}
 	opts := Options{
-		MasterKey:    master,
-		Substituter:  sub,
-		Path:         path,
-		Durability:   DurabilityGrouped,
-		Shards:       shards,
-		NodeEncoding: enc,
+		MasterKey:   largeMaster,
+		Substituter: sub,
+		Cipher:      nc,
+		Path:        path,
+		Durability:  DurabilityGrouped,
+		Shards:      shards,
 	}
 	tr, err := Open(opts)
 	if err != nil {
@@ -273,8 +276,8 @@ func TestLargeIngestSoak(t *testing.T) {
 	keys := largeEnvInt(t, "EKBTREE_LARGE_KEYS", 2_000_000)
 	shards := largeEnvInt(t, "EKBTREE_LARGE_SHARDS", 3)
 
-	compact := runLargeLeg(t, "prefix-vacuum", keys, shards, EncodingPrefix, true)
-	baseline := runLargeLeg(t, "full-baseline", keys, shards, EncodingFull, false)
+	compact := runLargeLeg(t, "prefix-vacuum", keys, shards, nil, true)
+	baseline := runLargeLeg(t, "full-baseline", keys, shards, newFullTranscoder(t, largeMaster), false)
 
 	// The PR's headline claim: >= 25% fewer bytes/key than the pre-PR
 	// encoding with no compaction, same workload, same shard layout.

@@ -7,7 +7,6 @@ import (
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
-	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -26,11 +25,6 @@ type Config struct {
 	Order int
 	// CachePages caps the decoded-node cache; 0 disables it.
 	CachePages int
-	// NodeFormat is the page format every node is encoded with before
-	// sealing; the zero value is the legacy full-key format. Reads
-	// auto-detect per page. The façade resolves this from the tree header so
-	// one tree never mixes formats.
-	NodeFormat node.Format
 
 	// SealBudget is the soft per-epoch seal budget: once an epoch has issued
 	// this many counters, the next commit advances to a fresh key epoch (and
@@ -91,15 +85,13 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, MapErr(err)
 	}
-	g := &Engine{
+	return &Engine{
 		st:  cfg.Store,
 		io:  newNodeIO(cfg.Store, cfg.Cipher, cfg.CachePages),
 		es:  newEpochs(root),
 		sa:  sa,
 		deg: cfg.Order / 2,
-	}
-	g.io.fmt = cfg.NodeFormat
-	return g, nil
+	}, nil
 }
 
 // maxOptimisticAttempts bounds how many times a mutation retries

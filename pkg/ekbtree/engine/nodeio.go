@@ -47,11 +47,6 @@ type CacheStats struct {
 type nodeIO struct {
 	st store.PageStore
 	nc cipher.EpochSealer
-	// fmt is the page format every seal encodes with (Config.NodeFormat; the
-	// zero value is the legacy full-key format). Reads auto-detect per page,
-	// so a store written under one format opens fine under another — the
-	// façade's header check is what keeps a tree from silently mixing them.
-	fmt node.Format
 
 	mu       sync.Mutex
 	cacheIdx map[uint64]int // page ID -> slot index; nil disables the cache
@@ -159,7 +154,7 @@ func (io *nodeIO) countHit() {
 // sealEpoch encodes and seals one node under an engine-allocated
 // (epoch, counter) nonce. Callers guarantee the pair is never reused.
 func (io *nodeIO) sealEpoch(id uint64, n *node.Node, epoch uint32, counter uint64) ([]byte, error) {
-	pt, err := n.EncodeFormat(io.fmt)
+	pt, err := n.Encode()
 	if err != nil {
 		return nil, err
 	}

@@ -6,93 +6,104 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/keysub"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // TestNodeEncodingResolution pins the header contract around the node
-// format: fresh trees default to prefix truncation, EncodingAuto resolves an
-// existing tree from its sealed header, and an explicit request against a
-// tree written with the other format fails closed with ErrConfigMismatch.
+// format: fresh trees are written with prefix truncation, the only format,
+// and record it in their sealed header; a header without the token (a tree
+// written with the retired full-key format) fails Open closed with
+// ErrConfigMismatch instead of being read.
 func TestNodeEncodingResolution(t *testing.T) {
 	master := bytes.Repeat([]byte{0x77}, 32)
-	fill := func(tr *Tree) {
-		t.Helper()
+	t.Run("default-is-prefix", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "enc.ekb")
+		tr, err := Open(Options{MasterKey: master, Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 200; i++ {
 			if err := tr.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%04d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	for _, tc := range []struct {
-		name     string
-		created  NodeEncoding // written at create time
-		matches  NodeEncoding // explicit reopen that must succeed
-		mismatch NodeEncoding // explicit reopen that must fail closed
-	}{
-		{"default-is-prefix", EncodingAuto, EncodingPrefix, EncodingFull},
-		{"explicit-full", EncodingFull, EncodingFull, EncodingPrefix},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "enc.ekb")
-			tr, err := Open(Options{MasterKey: master, Path: path, NodeEncoding: tc.created})
+		want := scanAll(t, tr)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(Options{MasterKey: master, Path: path})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if got := scanAll(t, re); !reflect.DeepEqual(got, want) {
+			t.Fatal("reopen lost entries")
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		nc, err := cipher.NewEpochAESGCM(deriveKey(master, "ekbtree/cipher"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < testDefaultShards; i++ {
+			st, err := file.Open(shardPath(path, i, testDefaultShards))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fill(tr)
-			want := scanAll(t, tr)
-			if err := tr.Close(); err != nil {
+			meta, err := st.Meta()
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			// Auto always reopens: the format comes from the header.
-			re, err := Open(Options{MasterKey: master, Path: path})
+			st.Close()
+			header, err := nc.Open(metaPageID, meta)
 			if err != nil {
-				t.Fatalf("auto reopen: %v", err)
+				t.Fatal(err)
 			}
-			if got := scanAll(t, re); !reflect.DeepEqual(got, want) {
-				t.Fatal("auto reopen lost entries")
+			if !strings.HasSuffix(string(header), " enc=prefix") {
+				t.Errorf("shard %d header %q does not record prefix encoding", i, header)
 			}
-			re.Close()
-
-			// The matching explicit request reopens too.
-			re, err = Open(Options{MasterKey: master, Path: path, NodeEncoding: tc.matches})
-			if err != nil {
-				t.Fatalf("matching explicit reopen: %v", err)
-			}
-			re.Close()
-
-			// The other format fails closed, and the rejection leaves the
-			// file openable.
-			if _, err := Open(Options{MasterKey: master, Path: path, NodeEncoding: tc.mismatch}); !errors.Is(err, ErrConfigMismatch) {
-				t.Fatalf("mismatched encoding Open = %v, want ErrConfigMismatch", err)
-			}
-			re, err = Open(Options{MasterKey: master, Path: path})
-			if err != nil {
-				t.Fatalf("reopen after rejected open: %v", err)
-			}
-			if got := scanAll(t, re); !reflect.DeepEqual(got, want) {
-				t.Fatal("rejected open disturbed the tree")
-			}
-			re.Close()
-		})
-	}
-}
-
-// TestNodeEncodingInvalid pins option validation for out-of-range encodings.
-func TestNodeEncodingInvalid(t *testing.T) {
-	_, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x66}, 32), NodeEncoding: NodeEncoding(9)})
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("Open with NodeEncoding 9 = %v, want ErrInvalidOptions", err)
-	}
+		}
+	})
+	t.Run("full-header-fails-closed", func(t *testing.T) {
+		nc, err := cipher.NewEpochAESGCM(deriveKey(master, "ekbtree/cipher"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := keysub.NewHMAC(deriveKey(master, "ekbtree/keysub"), 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The header a full-key tree carries: the base fields, no enc= token.
+		header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", DefaultOrder, sub.Name(), nc.Name())
+		sealed, err := nc.Seal(metaPageID, []byte(header))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewMemStore()
+		if err := st.SetMeta(sealed); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Open(Options{MasterKey: master, Store: st})
+		if err == nil {
+			tr.Close()
+		}
+		if !errors.Is(err, ErrConfigMismatch) {
+			t.Fatalf("Open of a full-key tree = %v, want ErrConfigMismatch", err)
+		}
+	})
 }
 
 // prefixFriendlyOpts returns file-backed options whose substituter preserves
 // an 8-byte plaintext prefix (the bucketed scheme), so sequential key runs
 // produce long shared prefixes inside each node — the case prefix truncation
 // is built for.
-func prefixFriendlyOpts(t *testing.T, path string, enc NodeEncoding, shards int) Options {
+func prefixFriendlyOpts(t *testing.T, path string, shards int) Options {
 	t.Helper()
 	master := bytes.Repeat([]byte{0x55}, 32)
 	inner, err := keysub.NewHMAC(master, 16)
@@ -103,20 +114,21 @@ func prefixFriendlyOpts(t *testing.T, path string, enc NodeEncoding, shards int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Options{
-		MasterKey: master, Substituter: sub, Path: path,
-		NodeEncoding: enc, Shards: shards,
-	}
+	return Options{MasterKey: master, Substituter: sub, Path: path, Shards: shards}
 }
 
-// TestPrefixEncodingShrinksFile writes the same workload under both node
-// formats and checks the prefix-truncated files are materially smaller —
-// the on-disk claim behind the encoding, at unit scale.
+// TestPrefixEncodingShrinksFile writes the same workload as a default
+// (prefix-truncated) tree and as a full-key tree — the test-only
+// fullTranscoder baseline — and checks the prefix-truncated file is
+// materially smaller: the on-disk claim behind the encoding, at unit scale.
 func TestPrefixEncodingShrinksFile(t *testing.T) {
-	sizes := map[NodeEncoding]int64{}
-	for enc, name := range map[NodeEncoding]string{EncodingFull: "full", EncodingPrefix: "prefix"} {
+	liveBytes := func(name string, full bool) int64 {
 		path := filepath.Join(t.TempDir(), name+".ekb")
-		tr, err := Open(prefixFriendlyOpts(t, path, enc, 1))
+		opts := prefixFriendlyOpts(t, path, 1)
+		if full {
+			opts.Cipher = newFullTranscoder(t, opts.MasterKey)
+		}
+		tr, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,19 +151,19 @@ func TestPrefixEncodingShrinksFile(t *testing.T) {
 		if st.Keys != 4000 {
 			t.Fatalf("%s: Keys = %d", name, st.Keys)
 		}
-		sizes[enc] = st.LiveBytes
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
+		return st.LiveBytes
 	}
+	full, prefix := liveBytes("full", true), liveBytes("prefix", false)
 	// Sequential user IDs share >= 12 of 13 plaintext-prefix+hash bytes with
 	// a neighbor; anything under 10% savings means truncation isn't engaged.
-	if sizes[EncodingPrefix] >= sizes[EncodingFull]*9/10 {
-		t.Fatalf("prefix encoding not smaller: prefix=%d full=%d", sizes[EncodingPrefix], sizes[EncodingFull])
+	if prefix >= full*9/10 {
+		t.Fatalf("prefix encoding not smaller: prefix=%d full=%d", prefix, full)
 	}
 	t.Logf("live bytes: full=%d prefix=%d (%.1f%% saved)",
-		sizes[EncodingFull], sizes[EncodingPrefix],
-		100*(1-float64(sizes[EncodingPrefix])/float64(sizes[EncodingFull])))
+		full, prefix, 100*(1-float64(prefix)/float64(full)))
 }
 
 // TestTreeVacuum is the façade-level vacuum contract: churn creates garbage
@@ -159,7 +171,7 @@ func TestPrefixEncodingShrinksFile(t *testing.T) {
 // shards, content is untouched, and the tree reopens cleanly afterwards.
 func TestTreeVacuum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vac.ekb")
-	opts := prefixFriendlyOpts(t, path, EncodingAuto, 3)
+	opts := prefixFriendlyOpts(t, path, 3)
 	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

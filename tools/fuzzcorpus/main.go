@@ -38,35 +38,32 @@ func enc(n *node.Node) []byte {
 
 func main() {
 	root := os.Args[1]
+	// FuzzDecode's seed-prefix-* pages are in the one page format. The
+	// older seed-* files there are full-key pages from before prefix
+	// truncation became the only format; they stay checked in as inputs
+	// Decode must reject.
 	dec := filepath.Join(root, "internal/node/testdata/fuzz/FuzzDecode")
-	write(dec, "seed-empty-leaf", enc(&node.Node{Leaf: true}))
-	write(dec, "seed-leaf-entries", enc(&node.Node{
+	write(dec, "seed-prefix-empty-leaf", enc(&node.Node{Leaf: true}))
+	write(dec, "seed-prefix-leaf-entries", enc(&node.Node{
 		Leaf:   true,
 		Keys:   [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")},
 		Values: [][]byte{[]byte("1"), {}, bytes.Repeat([]byte{0xAB}, 64)},
 	}))
-	write(dec, "seed-internal", enc(&node.Node{
+	write(dec, "seed-prefix-internal", enc(&node.Node{
 		Keys:     [][]byte{bytes.Repeat([]byte{0x42}, 24)},
 		Values:   [][]byte{[]byte("sep")},
 		Children: []uint64{7, 1 << 33},
 	}))
-	write(dec, "seed-wide-internal", enc(&node.Node{
+	write(dec, "seed-prefix-wide-internal", enc(&node.Node{
 		Keys:     [][]byte{{0x01}, {0x02}, {0x03}, {0x04}},
 		Values:   [][]byte{{0xA1}, {0xA2}, {0xA3}, {0xA4}},
 		Children: []uint64{1, 2, 3, 4, ^uint64(0)},
 	}))
-	write(dec, "seed-truncated", []byte{0xEB, 0x01, 0x01, 0x00, 0x02, 0x00})
+	write(dec, "seed-prefix-truncated", []byte{0xEB, 0x01, 0x03, 0x00, 0x02, 0x00})
 
-	encP := func(n *node.Node) []byte {
-		p, err := n.EncodeFormat(node.FormatPrefix)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}
 	pfx := filepath.Join(root, "internal/node/testdata/fuzz/FuzzDecodePrefixTruncated")
-	write(pfx, "seed-empty-leaf", encP(&node.Node{Leaf: true}))
-	write(pfx, "seed-bucketed-internal", encP(&node.Node{
+	write(pfx, "seed-empty-leaf", enc(&node.Node{Leaf: true}))
+	write(pfx, "seed-bucketed-internal", enc(&node.Node{
 		Keys: [][]byte{
 			[]byte("bucket0017-user-000041"),
 			[]byte("bucket0017-user-000389"),
@@ -75,7 +72,7 @@ func main() {
 		Values:   [][]byte{[]byte("s0"), {}, []byte("s2")},
 		Children: []uint64{7, 9, 1 << 33, ^uint64(0)},
 	}))
-	write(pfx, "seed-deep-shared-leaf", encP(&node.Node{
+	write(pfx, "seed-deep-shared-leaf", enc(&node.Node{
 		Leaf: true,
 		Keys: [][]byte{
 			bytes.Repeat([]byte{0x42}, 24),
@@ -84,7 +81,7 @@ func main() {
 		},
 		Values: [][]byte{[]byte("1"), {}, bytes.Repeat([]byte{0xAB}, 64)},
 	}))
-	write(pfx, "seed-empty-keys", encP(&node.Node{
+	write(pfx, "seed-empty-keys", enc(&node.Node{
 		Leaf:   true,
 		Keys:   [][]byte{{}, {0x00}, {0x00, 0x00}},
 		Values: [][]byte{{}, {}, {0xFF}},
