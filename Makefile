@@ -120,7 +120,8 @@ soak-smoke:
 	$(GO) test -tags large -run '^TestLargeIngestSoak$$' -timeout 120m -v ./pkg/ekbtree/
 
 # fuzz-smoke runs each fuzz target briefly (the checked-in seed corpora under
-# internal/*/testdata/fuzz always run as plain tests; this actually mutates).
+# internal/*/testdata/fuzz and pkg/ekbtree/wire/testdata/fuzz always run as
+# plain tests; this actually mutates).
 # FUZZTIME=5m fuzz-smoke for a longer local session.
 FUZZTIME ?= 15s
 fuzz-smoke:
@@ -128,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefixTruncated$$' -fuzztime $(FUZZTIME) ./internal/node/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/keysub/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRange$$' -fuzztime $(FUZZTIME) ./internal/keysub/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
 
 clean:
 	$(GO) clean ./...

@@ -163,7 +163,7 @@ func TestEmptyTree(t *testing.T) {
 	if ok, err := tr.Delete([]byte("missing")); err != nil || ok {
 		t.Errorf("Delete on empty = (%v, %v)", ok, err)
 	}
-	if err := tr.Scan(func(_, _ []byte) bool { t.Error("scan visited entry"); return true }); err != nil {
+	if err := iterScan(tr, nil, nil, func(_, _ []byte) bool { t.Error("scan visited entry"); return true }); err != nil {
 		t.Fatal(err)
 	}
 	s, err := tr.Stats()
@@ -303,6 +303,24 @@ func TestDeleteAcrossDegrees(t *testing.T) {
 	}
 }
 
+// iterScan drives an Iter over tr's current root through the entries with
+// from <= key < to (nil bounds are open), stopping early if fn returns false.
+func iterScan(tr *Tree, from, to []byte, fn func(key, value []byte) bool) error {
+	root, err := tr.st.Root()
+	if err != nil {
+		return err
+	}
+	it := NewIter(tr.st, root, to)
+	it.Seek(from)
+	for {
+		k, v, ok := it.Next()
+		if !ok || !fn(k, v) {
+			break
+		}
+	}
+	return it.Err()
+}
+
 func TestScanOrder(t *testing.T) {
 	tr, _ := newTestTree(t, 3)
 	const n = 300
@@ -313,7 +331,7 @@ func TestScanOrder(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := tr.Scan(func(k, v []byte) bool {
+	if err := iterScan(tr, nil, nil, func(k, v []byte) bool {
 		if !bytes.Equal(k, v) {
 			t.Errorf("value mismatch for %x", k)
 		}
@@ -330,7 +348,7 @@ func TestScanOrder(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.Scan(func(_, _ []byte) bool {
+	iterScan(tr, nil, nil, func(_, _ []byte) bool {
 		count++
 		return count < 10
 	})
@@ -360,7 +378,7 @@ func TestScanRange(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var got []int
-			if err := tr.ScanRange(tt.from, tt.to, func(k, _ []byte) bool {
+			if err := iterScan(tr, tt.from, tt.to, func(k, _ []byte) bool {
 				got = append(got, int(binary.BigEndian.Uint64(k)))
 				return true
 			}); err != nil {

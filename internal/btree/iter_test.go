@@ -37,6 +37,53 @@ func iterCollect(t *testing.T, it *Iter, from []byte) []iterEntry {
 	return out
 }
 
+// ScanRangeIn and scan are an independent recursive range scan, kept in test
+// code only as the reference TestIterMatchesScanRange checks Iter against.
+
+// ScanRangeIn is the snapshot-read form of ScanRange: it visits entries with
+// from <= key < to in the tree rooted at rootID, reading pages through r. The
+// slices passed to fn alias node buffers; fn copies what it retains.
+func ScanRangeIn(r Reader, rootID uint64, from, to []byte, fn func(key, value []byte) bool) error {
+	if rootID == store.NoRoot {
+		return nil
+	}
+	_, err := scan(r, rootID, from, to, fn)
+	return err
+}
+
+func scan(r Reader, id uint64, from, to []byte, fn func(key, value []byte) bool) (bool, error) {
+	n, err := r.Read(id)
+	if err != nil {
+		return false, err
+	}
+	start := 0
+	if from != nil {
+		start, _ = n.Search(from)
+	}
+	for i := start; i <= len(n.Keys); i++ {
+		if !n.Leaf {
+			cont, err := scan(r, n.Children[i], from, to, fn)
+			if err != nil || !cont {
+				return cont, err
+			}
+		}
+		if i == len(n.Keys) {
+			break
+		}
+		k := n.Keys[i]
+		if from != nil && bytes.Compare(k, from) < 0 {
+			continue
+		}
+		if to != nil && bytes.Compare(k, to) >= 0 {
+			return false, nil
+		}
+		if !fn(k, n.Values[i]) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // TestIterMatchesScanRange cross-checks the path-keeping iterator against the
 // recursive range scan over random trees, bounds, and seek points, for
 // several degrees (so root-only, two-level, and three-level shapes are all

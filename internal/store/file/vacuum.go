@@ -135,35 +135,30 @@ func (s *Store) vacuumProgress() (end int64, nfree int, holeSum int64, err error
 	return s.fileEnd, len(s.free), holeSum, nil
 }
 
-// vacuumStep relocates one batch, reporting whether it moved anything (so
-// the caller knows another step could still help).
+// vacuumCand is one page selected for relocation, with the durable extent it
+// was selected at.
+type vacuumCand struct {
+	id  uint64
+	ext extent
+}
+
+// vacuumStep runs one PACK batch: pages past target that a durable hole
+// strictly below them can fit, highest offsets first. It reports whether the
+// batch moved a page or lowered the frontier (so the caller knows another
+// step could still help).
 func (s *Store) vacuumStep(target int64) (bool, error) {
-	type cand struct {
-		id  uint64
-		ext extent
-	}
-	for attempt := 0; attempt < vacuumRetries; attempt++ {
+	return s.relocate(false, func() ([]vacuumCand, bool) {
 		// Select from the durable tail: the pages whose extents reach past
 		// target, highest offsets first — clearing the tail is what lets the
 		// frontier retreat and the truncate land. Pages with overlay state
 		// (pending/flushing writes or frees) are in flight and skipped.
-		s.mu.RLock()
-		if s.closed {
-			s.mu.RUnlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.RUnlock()
-			return false, s.failedErrLocked()
-		}
 		if s.fileEnd <= target {
-			s.mu.RUnlock()
-			return false, nil
+			return nil, false
 		}
-		var cands []cand
+		var cands []vacuumCand
 		for id, e := range s.pages {
 			if e.end() > target && s.vacuumQuietLocked(id) {
-				cands = append(cands, cand{id, e})
+				cands = append(cands, vacuumCand{id, e})
 			}
 		}
 		// No movable pages past target doesn't mean the tail is clear: the
@@ -180,9 +175,6 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 				break
 			}
 		}
-		frees := append([]extent(nil), s.free...)
-		selTxid, preEnd := s.txid, s.fileEnd
-		s.mu.RUnlock()
 
 		// Keep only candidates some durable free hole strictly below them can
 		// actually fit: sweep frees and candidates upward by offset, tracking
@@ -190,6 +182,7 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 		// same hole at flush time — losers are dropped there — but whenever
 		// this filter passes anything, the flush relocates at least one page,
 		// and a fully-compacted store never pays for a no-op flush.
+		frees := append([]extent(nil), s.free...)
 		sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
 		sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off < cands[j].ext.off })
 		movable, fi, maxHole := cands[:0], 0, uint32(0)
@@ -204,17 +197,89 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 				movable = append(movable, c)
 			}
 		}
-		cands = movable
-		if len(cands) == 0 && !dirDescend {
-			return false, nil
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off > cands[j].ext.off })
-		batch, total := cands[:0], 0
-		for _, c := range cands {
+		sort.Slice(movable, func(i, j int) bool { return movable[i].ext.off > movable[j].ext.off })
+		batch, total := movable[:0], 0
+		for _, c := range movable {
 			batch = append(batch, c)
 			if total += int(c.ext.len); total >= vacuumBatchBytes {
 				break
 			}
+		}
+		return batch, dirDescend
+	})
+}
+
+// liftStep runs one LIFT batch: "stuck" pages — each the live extent sitting
+// directly above a free hole — relocated to wherever allocation puts them
+// (allocBelow when something fits, the frontier otherwise), so each freed
+// extent coalesces with its hole and the pack phase gets holes it can use.
+// Reports whether it moved anything.
+func (s *Store) liftStep() (bool, error) {
+	return s.relocate(true, func() ([]vacuumCand, bool) {
+		starts := make(map[int64]uint64, len(s.pages))
+		for id, e := range s.pages {
+			starts[e.off] = id
+		}
+		frees := append([]extent(nil), s.free...)
+		sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
+		// Lowest holes first: the deepest merges unlock the most packing.
+		// A hole with no page directly above it sits under the directory,
+		// the frontier, or an in-flight extent — skip it; the directory
+		// re-places itself on every vacuum flush anyway. Walk up to a few
+		// consecutive pages above each hole so one round grows the merged
+		// hole by several page-heights — sub-page remainder holes migrate
+		// toward the frontier that much faster.
+		const liftPerHole = 8
+		var batch []vacuumCand
+		total := 0
+		for _, f := range frees {
+			at := f.end()
+			for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
+				id, ok := starts[at]
+				if !ok || !s.vacuumQuietLocked(id) {
+					break
+				}
+				e := s.pages[id]
+				batch = append(batch, vacuumCand{id, e})
+				total += int(e.len)
+				at = e.end()
+			}
+			if total >= vacuumBatchBytes {
+				break
+			}
+		}
+		return batch, false
+	})
+}
+
+// relocate is the relocation protocol both vacuum phases share. Each attempt
+// calls sel under the read lock to choose a batch from the durable state,
+// reads the batch's bytes without the lock, revalidates under the write lock,
+// and enqueues the surviving pages as one force-flushed relocation group,
+// reselecting (up to vacuumRetries times) when a flush installed in between.
+//
+// sel returns the batch and whether to flush even if no page survives: a
+// vacuum flush re-places the directory blob, which may descend and let the
+// frontier retreat. lift selects the phase the batch belongs to: lift moves
+// go wherever allocation puts them, pack moves only strictly downward, and
+// only for pack does a flush that lowered the frontier count as progress when
+// it relocated no page. relocate reports whether the batch made progress.
+func (s *Store) relocate(lift bool, sel func() (batch []vacuumCand, dirFlush bool)) (bool, error) {
+	for attempt := 0; attempt < vacuumRetries; attempt++ {
+		s.mu.RLock()
+		if s.closed {
+			s.mu.RUnlock()
+			return false, store.ErrClosed
+		}
+		if s.failed {
+			defer s.mu.RUnlock()
+			return false, s.failedErrLocked()
+		}
+		batch, dirFlush := sel()
+		selTxid, preEnd := s.txid, s.fileEnd
+		s.mu.RUnlock()
+		if len(batch) == 0 && !dirFlush {
+			return false, nil
 		}
 
 		// Read the live bytes without the lock: a flush never writes into an
@@ -268,11 +333,11 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 				delete(writes, id)
 			}
 		}
-		if len(writes) == 0 && !dirDescend {
+		if len(writes) == 0 && !dirFlush {
 			s.mu.Unlock()
 			return false, nil
 		}
-		res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, false)
+		res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, lift)
 		g := s.pending
 		s.force = true // a relocation batch flushes now in every mode
 		s.mu.Unlock()
@@ -284,124 +349,13 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 		if g.relocated > 0 {
 			return true, nil
 		}
+		if lift {
+			return false, nil
+		}
 		s.mu.RLock()
 		retreated := !s.closed && !s.failed && s.fileEnd < preEnd
 		s.mu.RUnlock()
 		return retreated, nil
-	}
-	return false, nil
-}
-
-// liftStep relocates one batch of "stuck" pages — each the live extent
-// sitting directly above a free hole — to wherever allocation puts them
-// (allocBelow when something fits, the frontier otherwise), so each freed
-// extent coalesces with its hole and the pack phase gets holes it can use.
-// Reports whether it moved anything. Same selection/retry discipline as
-// vacuumStep: durable-state selection under RLock, lock-free reads of stable
-// bytes, txid-capture revalidation before enqueueing.
-func (s *Store) liftStep() (bool, error) {
-	type cand struct {
-		id  uint64
-		ext extent
-	}
-	for attempt := 0; attempt < vacuumRetries; attempt++ {
-		s.mu.RLock()
-		if s.closed {
-			s.mu.RUnlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.RUnlock()
-			return false, s.failedErrLocked()
-		}
-		starts := make(map[int64]uint64, len(s.pages))
-		for id, e := range s.pages {
-			starts[e.off] = id
-		}
-		frees := append([]extent(nil), s.free...)
-		sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
-		// Lowest holes first: the deepest merges unlock the most packing.
-		// A hole with no page directly above it sits under the directory,
-		// the frontier, or an in-flight extent — skip it; the directory
-		// re-places itself on every vacuum flush anyway. Walk up to a few
-		// consecutive pages above each hole so one round grows the merged
-		// hole by several page-heights — sub-page remainder holes migrate
-		// toward the frontier that much faster.
-		const liftPerHole = 8
-		var batch []cand
-		total := 0
-		for _, f := range frees {
-			at := f.end()
-			for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
-				id, ok := starts[at]
-				if !ok || !s.vacuumQuietLocked(id) {
-					break
-				}
-				e := s.pages[id]
-				batch = append(batch, cand{id, e})
-				total += int(e.len)
-				at = e.end()
-			}
-			if total >= vacuumBatchBytes {
-				break
-			}
-		}
-		selTxid := s.txid
-		s.mu.RUnlock()
-		if len(batch) == 0 {
-			return false, nil
-		}
-
-		// As in vacuumStep, a read error is final only if the txid check
-		// below finds the selection still current.
-		writes := make(map[uint64][]byte, len(batch))
-		var readErr error
-		for _, c := range batch {
-			buf := make([]byte, c.ext.len)
-			if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
-				readErr = fmt.Errorf("file: vacuum lift read page %d: %w", c.id, err)
-				break
-			}
-			writes[c.id] = buf
-		}
-
-		s.mu.Lock()
-		s.waitCapacityLocked()
-		if s.closed {
-			s.mu.Unlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.Unlock()
-			return false, s.failedErrLocked()
-		}
-		if s.txid != selTxid {
-			s.mu.Unlock()
-			continue
-		}
-		if readErr != nil {
-			s.mu.Unlock()
-			return false, readErr
-		}
-		for id := range writes {
-			if !s.vacuumQuietLocked(id) {
-				delete(writes, id)
-			}
-		}
-		if len(writes) == 0 {
-			s.mu.Unlock()
-			return false, nil
-		}
-		res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, true)
-		g := s.pending
-		s.force = true
-		s.mu.Unlock()
-		s.wake()
-		<-res.done
-		if res.err != nil {
-			return false, res.err
-		}
-		return g.relocated > 0, nil
 	}
 	return false, nil
 }

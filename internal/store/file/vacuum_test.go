@@ -128,22 +128,12 @@ func TestVacuumShrinksFile(t *testing.T) {
 	}
 }
 
-// TestVacuumLiftUnsticksFragmentedLayout builds the layout that defeats pure
-// downward packing — alternating big live pages and small holes, every hole
-// smaller than every page — and asserts Vacuum still converges near the live
-// size: the lift phase evacuates the page above a hole so the freed extent
-// coalesces with it into one packing can use.
-func TestVacuumLiftUnsticksFragmentedLayout(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "vaclift.ekb")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Pairs of (big, small) pages laid out in allocation order, then every
-	// small page freed: ~300-byte holes between ~2000-byte pages, so no page
-	// fits any hole and allocBelow can never move anything.
+// buildFragmented lays out pairs of (big, small) pages in allocation order,
+// then frees every small page: ~300-byte holes between ~2000-byte pages, so
+// no page fits any hole and allocBelow can never move anything. Pure
+// downward packing is stuck on this layout; only the lift phase can move it.
+func buildFragmented(t *testing.T, s *Store) {
+	t.Helper()
 	var big, small []uint64
 	writes := make(map[uint64][]byte)
 	for i := 0; i < 40; i++ {
@@ -168,6 +158,22 @@ func TestVacuumLiftUnsticksFragmentedLayout(t *testing.T) {
 	if err := s.CommitPages(nil, big[0], small); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestVacuumLiftUnsticksFragmentedLayout builds the layout that defeats pure
+// downward packing — alternating big live pages and small holes, every hole
+// smaller than every page — and asserts Vacuum still converges near the live
+// size: the lift phase evacuates the page above a hole so the freed extent
+// coalesces with it into one packing can use.
+func TestVacuumLiftUnsticksFragmentedLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vaclift.ekb")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	buildFragmented(t, s)
 	pre := snapshotState(t, s)
 	fileBefore, liveBefore := s.Space()
 	if fileBefore < liveBefore+10*1024 {
@@ -418,51 +424,64 @@ func (f *readHookFile) ReadAt(p []byte, off int64) (int, error) {
 // one, the frontier retreats, and the truncate cuts the extents vacuum is
 // about to read, so the read fails with EOF. The batch is merely stale — the
 // same case the txid revalidation handles — so Vacuum must reselect and
-// succeed rather than report the read error.
+// succeed rather than report the read error. Each case races a different
+// phase's read: buildGarbage's first relocation read is a pack read; in the
+// fragmented layout no page fits any hole, so pack never reads and the first
+// read is a lift read.
 func TestVacuumReadRacesTruncate(t *testing.T) {
-	f, err := os.OpenFile(filepath.Join(t.TempDir(), "race.ekb"), os.O_RDWR|os.O_CREATE, 0o600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hf := &readHookFile{File: f}
-	s, err := OpenWith(hf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	buildGarbage(t, s)
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, *Store)
+	}{
+		{"pack", func(t *testing.T, s *Store) { buildGarbage(t, s) }},
+		{"lift", buildFragmented},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := os.OpenFile(filepath.Join(t.TempDir(), "race.ekb"), os.O_RDWR|os.O_CREATE, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hf := &readHookFile{File: f}
+			s, err := OpenWith(hf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			tc.build(t, s)
 
-	fired := false
-	hook := func() {
-		fired = true
-		s.mu.RLock()
-		var keep uint64
-		low := int64(1) << 62
-		for id, e := range s.pages {
-			if e.off < low {
-				low, keep = e.off, id
+			fired := false
+			hook := func() {
+				fired = true
+				s.mu.RLock()
+				var keep uint64
+				low := int64(1) << 62
+				for id, e := range s.pages {
+					if e.off < low {
+						low, keep = e.off, id
+					}
+				}
+				var frees []uint64
+				for id := range s.pages {
+					if id != keep {
+						frees = append(frees, id)
+					}
+				}
+				s.mu.RUnlock()
+				before, _ := s.Space()
+				if err := s.CommitPages(nil, keep, frees); err != nil {
+					t.Errorf("hook commit: %v", err)
+				}
+				if after, _ := s.Space(); after >= before {
+					t.Errorf("hook commit did not retreat the frontier: %d -> %d", before, after)
+				}
 			}
-		}
-		var frees []uint64
-		for id := range s.pages {
-			if id != keep {
-				frees = append(frees, id)
+			hf.hook.Store(&hook)
+			if err := s.Vacuum(0); err != nil {
+				t.Fatalf("Vacuum with a truncate racing its read: %v", err)
 			}
-		}
-		s.mu.RUnlock()
-		before, _ := s.Space()
-		if err := s.CommitPages(nil, keep, frees); err != nil {
-			t.Errorf("hook commit: %v", err)
-		}
-		if after, _ := s.Space(); after >= before {
-			t.Errorf("hook commit did not retreat the frontier: %d -> %d", before, after)
-		}
-	}
-	hf.hook.Store(&hook)
-	if err := s.Vacuum(0); err != nil {
-		t.Fatalf("Vacuum with a truncate racing its read: %v", err)
-	}
-	if !fired {
-		t.Fatal("vacuum never read a page; the race was not exercised")
+			if !fired {
+				t.Fatal("vacuum never read a page; the race was not exercised")
+			}
+		})
 	}
 }

@@ -78,34 +78,9 @@ func BenchmarkGetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkScan measures a full ordered scan of a 10k-key tree through the
-// callback wrapper (which now rides on a Cursor underneath).
-func BenchmarkScan(b *testing.B) {
-	tr := benchTree(b)
-	defer tr.Close()
-	rng := rand.New(rand.NewSource(42))
-	value := make([]byte, 64)
-	for i := 0; i < 10_000; i++ {
-		if err := tr.Put(benchKey(rng, i), value); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		if err := tr.Scan(func(_, _ []byte) bool { count++; return true }); err != nil {
-			b.Fatal(err)
-		}
-		if count != 10_000 {
-			b.Fatalf("scan visited %d", count)
-		}
-	}
-}
-
-// BenchmarkCursorScan measures the same full scan driven directly through
+// BenchmarkCursorScan measures a full ordered scan of a 10k-key tree through
 // the snapshot Cursor API, touching Key and Value for every entry. The
-// path-keeping iterator descends once per scan (vs once per 256 entries for
-// the pre-epoch cursor), so this tracks the old locked callback scan.
+// path-keeping iterator descends once per scan.
 func BenchmarkCursorScan(b *testing.B) {
 	tr := benchTree(b)
 	defer tr.Close()

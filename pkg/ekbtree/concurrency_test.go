@@ -91,16 +91,16 @@ func TestGetDoesNotWaitForCommit(t *testing.T) {
 			}
 		}
 		count := 0
-		err := tr.Scan(func(_, v []byte) bool {
-			if string(v) != "old" {
-				err := fmt.Errorf("scan observed %q during in-flight commit", v)
-				readsDone <- err
-				return false
+		c := tr.Cursor()
+		defer c.Close()
+		for ok := c.First(); ok; ok = c.Next() {
+			if v := c.Value(); string(v) != "old" {
+				readsDone <- fmt.Errorf("scan observed %q during in-flight commit", v)
+				return
 			}
 			count++
-			return true
-		})
-		if err != nil {
+		}
+		if err := c.Err(); err != nil {
 			readsDone <- err
 			return
 		}

@@ -8,13 +8,17 @@ import (
 )
 
 // Cursor iterates a point-in-time snapshot of the tree in ascending
-// substituted-key order.
+// substituted-key order; it is the tree's only scan API. With a pseudorandom
+// substituter this order is unrelated to plaintext order; with a bucketed
+// substituter it follows plaintext order at bucket granularity. Key returns
+// the substituted key — the plaintext key is not recoverable from the tree.
 //
 // A cursor pins the current epoch of every shard its range touches when it
 // is created and reads those versions, lock-free, for its whole life:
 // concurrent Puts, Deletes, and batch commits neither block the cursor nor
 // become visible to it, and the cursor never observes a partially-applied
-// single-shard commit. Internally each shard iterator keeps the root-to-leaf
+// single-shard commit. No tree lock is held between calls, so the loop body
+// may call any method of the Tree, mutations included. Internally each shard iterator keeps the root-to-leaf
 // path to its position and the cursor merges them smallest-key-first, so
 // advancing is O(shards) with no re-descent and no per-batch snapshot
 // copying. On an unsharded tree (Shards = 1, the default) this is the same
@@ -76,13 +80,14 @@ func (t *Tree) Cursor() *Cursor {
 }
 
 // CursorRange returns a cursor over the substituted range covering the
-// plaintext bounds [fromKey, toKey), snapshotted at this call. Bounds are
-// mapped exactly as in ScanRange: with a range-capable substituter (e.g. the
-// bucketed one) they expand to whole boundary buckets, so the cursor visits a
-// superset of the plaintext range; with a pure-PRF substituter they are
-// substituted pointwise and the range bears no relation to plaintext order.
-// A nil bound is unbounded on that side. Only the shards whose key ranges
-// intersect the bounds are pinned.
+// plaintext bounds [fromKey, toKey), snapshotted at this call. With a
+// range-capable substituter (e.g. the bucketed one) the bounds expand to
+// whole boundary buckets, so the cursor visits a superset of the plaintext
+// range — every key in [fromKey, toKey) plus possibly others sharing a
+// boundary bucket; with a pure-PRF substituter they are substituted
+// pointwise and the range bears no relation to plaintext order. A nil bound
+// is unbounded on that side. Only the shards whose key ranges intersect the
+// bounds are pinned.
 func (t *Tree) CursorRange(fromKey, toKey []byte) *Cursor {
 	lo, hi := t.substituteBounds(fromKey, toKey)
 	return t.newCursor(lo, hi)

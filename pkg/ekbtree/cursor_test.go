@@ -21,12 +21,13 @@ func mustOpen(t *testing.T, opts Options) *Tree {
 
 // TestCursorFullIteration inserts enough random keys to span many leaves and
 // checks the cursor visits every entry exactly once, in ascending
-// substituted-key order, agreeing with Scan.
+// substituted-key order: exactly the sorted substitutes of the inserted keys.
 func TestCursorFullIteration(t *testing.T) {
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA1}, 32), Order: 8})
 	defer tr.Close()
 
 	const n = 768 // several levels' worth of leaves at order 8
+	var want [][]byte
 	for i := 0; i < n; i++ {
 		k := make([]byte, 16)
 		if _, err := rand.Read(k); err != nil {
@@ -35,15 +36,9 @@ func TestCursorFullIteration(t *testing.T) {
 		if err := tr.Put(k, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, tr.sub.Substitute(k))
 	}
-
-	var fromScan [][]byte
-	if err := tr.Scan(func(sk, _ []byte) bool {
-		fromScan = append(fromScan, append([]byte(nil), sk...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
 
 	c := tr.Cursor()
 	defer c.Close()
@@ -63,8 +58,8 @@ func TestCursorFullIteration(t *testing.T) {
 		t.Error("cursor not in ascending substituted-key order")
 	}
 	for i := range fromCursor {
-		if !bytes.Equal(fromCursor[i], fromScan[i]) {
-			t.Fatalf("cursor and Scan diverge at %d", i)
+		if !bytes.Equal(fromCursor[i], want[i]) {
+			t.Fatalf("cursor and the sorted substitutes diverge at %d", i)
 		}
 	}
 }
@@ -114,17 +109,23 @@ func bucketedTree(t *testing.T) (*Tree, map[string]string) {
 	return tr, subToPlain
 }
 
-// TestCursorRangeMatchesScanRange checks that CursorRange and ScanRange
-// visit the same entries for the same plaintext bounds.
+// TestCursorRangeMatchesScanRange checks that CursorRange visits the same
+// entries as a full-tree scan filtered to the substituted bounds the
+// plaintext bounds map to.
 func TestCursorRangeMatchesScanRange(t *testing.T) {
 	tr, subToPlain := bucketedTree(t)
 	defer tr.Close()
 
+	lo, hi := tr.substituteBounds([]byte("ca"), []byte("fm"))
 	var fromScan []string
-	if err := tr.ScanRange([]byte("ca"), []byte("fm"), func(sk, _ []byte) bool {
-		fromScan = append(fromScan, subToPlain[string(sk)])
-		return true
-	}); err != nil {
+	full := tr.Cursor()
+	defer full.Close()
+	for ok := full.First(); ok; ok = full.Next() {
+		if sk := full.Key(); bytes.Compare(sk, lo) >= 0 && bytes.Compare(sk, hi) < 0 {
+			fromScan = append(fromScan, subToPlain[string(sk)])
+		}
+	}
+	if err := full.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +142,7 @@ func TestCursorRangeMatchesScanRange(t *testing.T) {
 		t.Fatal("cursor range visited nothing")
 	}
 	if fmt.Sprint(fromCursor) != fmt.Sprint(fromScan) {
-		t.Errorf("CursorRange visited %v, ScanRange visited %v", fromCursor, fromScan)
+		t.Errorf("CursorRange visited %v, filtered scan visited %v", fromCursor, fromScan)
 	}
 }
 
@@ -200,11 +201,11 @@ func TestCursorRangeClampsSeek(t *testing.T) {
 }
 
 // TestScanReentrancy is the acceptance check that caller code never runs
-// under any shard's writer lock: the Scan callback re-enters the tree with
-// Get, Put, and a nested cursor — the Put would deadlock against a held
-// commit gate, so its completion proves no lock is held. With snapshot
-// cursors the Put inside the callback is invisible to the ongoing scan but
-// fully visible afterwards.
+// under any shard's writer lock: the body of a cursor loop re-enters the
+// tree with Get, Put, and a nested cursor — the Put would deadlock against a
+// held commit gate, so its completion proves no lock is held. With snapshot
+// cursors the Put inside the loop is invisible to the ongoing scan but fully
+// visible afterwards.
 func TestScanReentrancy(t *testing.T) {
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA5}, 32), Order: 8})
 	defer tr.Close()
@@ -214,25 +215,26 @@ func TestScanReentrancy(t *testing.T) {
 		}
 	}
 	calls := 0
-	err := tr.Scan(func(_, _ []byte) bool {
+	c := tr.Cursor()
+	defer c.Close()
+	for ok := c.First(); ok; ok = c.Next() {
 		calls++
 		if calls > 1 {
-			return true // re-enter only on the first callback; keep the test fast
+			continue // re-enter only on the first entry; keep the test fast
 		}
 		if _, _, err := tr.Get([]byte("k005")); err != nil {
-			t.Fatalf("Get inside Scan callback: %v", err)
+			t.Fatalf("Get inside cursor loop: %v", err)
 		}
 		if err := tr.Put([]byte("reentrant"), []byte("yes")); err != nil {
-			t.Fatalf("Put inside Scan callback: %v", err)
+			t.Fatalf("Put inside cursor loop: %v", err)
 		}
 		inner := tr.Cursor()
 		defer inner.Close()
 		if !inner.First() {
 			t.Fatal("nested cursor found nothing")
 		}
-		return true
-	})
-	if err != nil {
+	}
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {

@@ -79,7 +79,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripProperty is the headline property test: insert N random keys,
-// verify every one is retrievable, Scan visits exactly N entries in ascending
+// verify every one is retrievable, a Cursor visits exactly N entries in ascending
 // substituted-key order, and (separately) no plaintext key bytes appear in
 // any stored page.
 func TestRoundTripProperty(t *testing.T) {
@@ -111,10 +111,12 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 	}
 	var scanned [][]byte
-	if err := tr.Scan(func(sk, _ []byte) bool {
-		scanned = append(scanned, append([]byte(nil), sk...))
-		return true
-	}); err != nil {
+	c := tr.Cursor()
+	defer c.Close()
+	for ok := c.First(); ok; ok = c.Next() {
+		scanned = append(scanned, c.Key())
+	}
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(scanned) != n {
@@ -183,7 +185,7 @@ func TestNoPlaintextInStore(t *testing.T) {
 }
 
 // TestBucketedScanOrder checks that the order-preserving bucket substituter
-// makes Scan follow plaintext order when keys fall in distinct buckets.
+// makes a Cursor follow plaintext order when keys fall in distinct buckets.
 func TestBucketedScanOrder(t *testing.T) {
 	inner, err := keysub.NewHMAC(bytes.Repeat([]byte{0x44}, 32), 16)
 	if err != nil {
@@ -220,10 +222,12 @@ func TestBucketedScanOrder(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := tr.Scan(func(sk, _ []byte) bool {
-		got = append(got, subToPlain[string(sk)])
-		return true
-	}); err != nil {
+	c := tr.Cursor()
+	defer c.Close()
+	for ok := c.First(); ok; ok = c.Next() {
+		got = append(got, subToPlain[string(c.Key())])
+	}
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(plain) {
@@ -237,10 +241,12 @@ func TestBucketedScanOrder(t *testing.T) {
 	// Bounds in empty buckets ("c", "d" zero-pad to buckets holding no keys)
 	// give an exact result: all 26 "c?" keys.
 	var ranged [][]byte
-	if err := tr.ScanRange([]byte("c"), []byte("d"), func(sk, _ []byte) bool {
-		ranged = append(ranged, subToPlain[string(sk)])
-		return true
-	}); err != nil {
+	rc := tr.CursorRange([]byte("c"), []byte("d"))
+	defer rc.Close()
+	for ok := rc.First(); ok; ok = rc.Next() {
+		ranged = append(ranged, subToPlain[string(rc.Key())])
+	}
+	if err := rc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(ranged) != 26 {
@@ -285,10 +291,12 @@ func TestBucketedScanRangeSuperset(t *testing.T) {
 	}
 	// Bounds land inside occupied buckets "ab" and "ad".
 	got := map[string]bool{}
-	if err := tr.ScanRange([]byte("ab-3"), []byte("ad-7"), func(sk, _ []byte) bool {
-		got[subToPlain[string(sk)]] = true
-		return true
-	}); err != nil {
+	c := tr.CursorRange([]byte("ab-3"), []byte("ad-7"))
+	defer c.Close()
+	for ok := c.First(); ok; ok = c.Next() {
+		got[subToPlain[string(c.Key())]] = true
+	}
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for k := range subToPlain {

@@ -33,12 +33,16 @@ func TestClosedTree(t *testing.T) {
 	if _, err := tr.Delete([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delete after Close = %v, want ErrClosed", err)
 	}
-	if err := tr.Scan(func(_, _ []byte) bool { return true }); !errors.Is(err, ErrClosed) {
-		t.Errorf("Scan after Close = %v, want ErrClosed", err)
+	c := tr.Cursor()
+	if c.First() || !errors.Is(c.Err(), ErrClosed) {
+		t.Errorf("Cursor after Close: Err = %v, want ErrClosed", c.Err())
 	}
-	if err := tr.ScanRange(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrClosed) {
-		t.Errorf("ScanRange after Close = %v, want ErrClosed", err)
+	c.Close()
+	rc := tr.CursorRange(nil, nil)
+	if rc.First() || !errors.Is(rc.Err(), ErrClosed) {
+		t.Errorf("CursorRange after Close: Err = %v, want ErrClosed", rc.Err())
 	}
+	rc.Close()
 	if _, err := tr.Stats(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Stats after Close = %v, want ErrClosed", err)
 	}

@@ -88,10 +88,12 @@ func (fs *faultStore) CommitPages(writes map[uint64][]byte, root uint64, frees [
 func scanAll(t *testing.T, tr *Tree) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	if err := tr.Scan(func(sk, v []byte) bool {
-		out[string(sk)] = string(v)
-		return true
-	}); err != nil {
+	c := tr.Cursor()
+	defer c.Close()
+	for ok := c.First(); ok; ok = c.Next() {
+		out[string(c.Key())] = string(c.Value())
+	}
+	if err := c.Err(); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	return out

@@ -557,11 +557,8 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	}
 	o.mu.Unlock()
 	got := make(map[string]string)
-	if err := tr.Scan(func(sk, v []byte) bool {
-		got[subToPlain[string(sk)]] = string(v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	for sk, v := range scanAll(t, tr) {
+		got[subToPlain[sk]] = v
 	}
 	if len(got) != len(final) {
 		t.Fatalf("final scan has %d keys, oracle %d", len(got), len(final))

@@ -548,11 +548,8 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	}
 	o.mu.Unlock()
 	got := make(map[string]string)
-	if err := tr.Scan(func(sk, v []byte) bool {
-		got[subToPlain[string(sk)]] = string(v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	for sk, v := range scanAll(t, tr) {
+		got[subToPlain[sk]] = v
 	}
 	if len(got) != len(final) {
 		t.Fatalf("final scan has %d keys, oracle %d", len(got), len(final))

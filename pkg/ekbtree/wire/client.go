@@ -170,7 +170,8 @@ func (c *Client) Delete(key []byte) (bool, error) {
 	return DecodeFoundBody(body)
 }
 
-// BatchCommit applies ops in order as one atomic commit.
+// BatchCommit applies ops in order, atomically per shard (the ekbtree
+// Batch.Commit contract): not atomic across an ekbtreed -shards N tenant.
 func (c *Client) BatchCommit(ops []BatchOp) error {
 	_, err := c.do(&BatchCommit{Ops: ops})
 	return err

@@ -193,8 +193,10 @@ type BatchOp struct {
 	Value []byte // ignored for deletes
 }
 
-// BatchCommit applies Ops in order as one atomic commit: a concurrent reader
-// (or wire cursor) observes all of the batch or none of it. OK body: empty.
+// BatchCommit applies Ops in order under the ekbtree Batch.Commit contract:
+// atomic per shard, so on an ekbtreed -shards N tenant a reader (or wire
+// cursor) may see one shard's slice of the batch before another's. OK body:
+// empty.
 type BatchCommit struct {
 	Ops []BatchOp
 }
@@ -212,14 +214,8 @@ func (m *BatchCommit) enc(b []byte) []byte {
 	return b
 }
 func (m *BatchCommit) dec(d *decoder) {
-	n := d.uvarint()
+	n := d.count()
 	if d.err != nil {
-		return
-	}
-	// Cap the pre-allocation: a hostile length word must not allocate more
-	// than the frame could physically carry (2 bytes minimum per op).
-	if n > MaxFrame/2 {
-		d.fail()
 		return
 	}
 	m.Ops = make([]BatchOp, 0, n)

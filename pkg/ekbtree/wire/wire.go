@@ -173,6 +173,18 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// count reads the element count of a list whose elements each take at least
+// two bytes, failing when the rest of the payload could not hold that many —
+// so a hostile count never sizes an allocation beyond the payload it came in.
+func (d *decoder) count() uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)/2) {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {

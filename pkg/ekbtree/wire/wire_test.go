@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -130,6 +131,36 @@ func TestDecodeRequestRejectsMalformed(t *testing.T) {
 	for name, payload := range cases {
 		if _, err := DecodeRequest(payload); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: DecodeRequest = %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// TestHostileCountsDoNotAllocate pins the decoders' pre-allocation cap: a
+// list count the rest of the payload cannot hold fails before it sizes a
+// slice. The BatchCommit case matters most, because the server decodes a
+// connection's first frame before authentication.
+func TestHostileCountsDoNotAllocate(t *testing.T) {
+	count := binary.AppendUvarint(nil, MaxFrame/2)
+	cases := map[string]func() error{
+		"BatchCommit request": func() error {
+			_, err := DecodeRequest(append([]byte{byte(OpBatchCommit)}, count...))
+			return err
+		},
+		"CursorNext entries body": func() error {
+			_, _, err := DecodeEntriesBody(append(count, 0))
+			return err
+		},
+	}
+	for name, decode := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(count)+1, n)
 		}
 	}
 }

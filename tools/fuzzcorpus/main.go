@@ -1,17 +1,20 @@
 // Command fuzzcorpus regenerates the checked-in fuzz seed corpora under
-// internal/*/testdata/fuzz. Run it from the repo root after changing the
-// node codec or the substituters:
+// internal/*/testdata/fuzz and pkg/ekbtree/wire/testdata/fuzz. Run it from
+// the repo root after changing the node codec, the substituters, or the wire
+// request codec:
 //
 //	go run ./tools/fuzzcorpus .
 package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"github.com/paper-repro/ekbtree/internal/node"
+	"github.com/paper-repro/ekbtree/pkg/ekbtree/wire"
 )
 
 func write(dir, name string, blobs ...[]byte) {
@@ -104,4 +107,23 @@ func main() {
 	write(rg, "seed-mid", []byte("a"), []byte("q"), []byte("m"))
 	write(rg, "seed-last-bucket", []byte{0xFF}, []byte{0xFF, 0x00}, []byte{0xFF, 0x00})
 	write(rg, "seed-unbounded", []byte{}, []byte{0xFF, 0xFF, 0xFF}, []byte{0x10, 0x20})
+
+	wf := filepath.Join(root, "pkg/ekbtree/wire/testdata/fuzz/FuzzDecodeRequest")
+	for name, req := range map[string]wire.Request{
+		"hello":       &wire.Hello{Version: wire.ProtocolVersion, Tenant: "acme"},
+		"auth":        &wire.Auth{Proof: bytes.Repeat([]byte{0x11}, 32)},
+		"put":         &wire.Put{Key: []byte("k"), Value: []byte("v")},
+		"batch":       &wire.BatchCommit{Ops: []wire.BatchOp{{Key: []byte("a"), Value: []byte("1")}, {Del: true, Key: []byte("b")}}},
+		"cursor-open": &wire.CursorOpen{HasLo: true, Lo: []byte("from"), HasHi: true, Hi: []byte("to")},
+		"cursor-next": &wire.CursorNext{Cursor: 3, Max: 128},
+		"vacuum":      &wire.Vacuum{Target: 1 << 40},
+	} {
+		write(wf, "seed-"+name, wire.EncodeRequest(req))
+	}
+	// A pre-auth BatchCommit whose op count the 5-byte frame cannot hold; a
+	// decoder that trusted the count would size a ~112 MiB slice from it.
+	write(wf, "seed-hostile-batch-count", binary.AppendUvarint([]byte{byte(wire.OpBatchCommit)}, wire.MaxFrame/2))
+	// An overlong (non-canonical) varint count of zero ops: it decodes, but
+	// re-encodes shorter.
+	write(wf, "seed-overlong-varint", []byte{byte(wire.OpBatchCommit), 0x80, 0x00})
 }
